@@ -12,6 +12,7 @@ from .objective import (
     co_pilot_set,
     contamination_objective,
     contamination_report,
+    interference_matrix,
     pairwise_interference,
 )
 from .reductions import (
@@ -70,6 +71,7 @@ __all__ = [
     "ContaminationReport",
     "co_pilot_set",
     "pairwise_interference",
+    "interference_matrix",
     "contamination_objective",
     "contamination_report",
     "WeightedGraph",

@@ -19,7 +19,6 @@ from .objective import contamination_objective, contamination_report
 from .reductions import (
     InvalidPartitionError,
     coloring_to_mkp,
-    mkp_objective,
     mkp_solution_to_pa,
     mkp_to_pa,
     pa_solution_to_mkp,
@@ -51,7 +50,6 @@ EXIT_VALIDATION = 3
 EXIT_BUDGET = 4
 
 REPORT_HEADER = ["instance", "solver", "objective", "throughput", "elapsed_s", "certificate"]
-SOLVER_NAMES = ("brute", "greedy", "random", "worst-user", "local-search")
 
 
 def _config_from_args(args) -> GenerationConfig:
@@ -121,34 +119,40 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _one_shot_report(s, assignment, name: str, elapsed: float) -> SolveReport:
-    return SolveReport(
-        assignment=assignment,
-        objective=contamination_objective(s, assignment),
-        throughput=system_throughput(s, assignment),
-        solver_name=name,
-        iterations=0,
-        elapsed_seconds=elapsed,
-        optimality_certificate="heuristic",
-    )
+def _construction(name: str, construct):
+    """Solver entry for a one-shot construction: times it and scores it."""
+
+    def solve(s, seed: int, args) -> SolveReport:
+        t0 = time.perf_counter()
+        a = construct(s, seed)
+        elapsed = time.perf_counter() - t0
+        return SolveReport(
+            assignment=a,
+            objective=contamination_objective(s, a),
+            throughput=system_throughput(s, a),
+            solver_name=name,
+            iterations=0,
+            elapsed_seconds=elapsed,
+            optimality_certificate="heuristic",
+        )
+
+    return solve
 
 
-def _run_solver(name: str, s, seed: int, budget: int, max_rounds: int, max_iters: int) -> SolveReport:
-    if name == "brute":
-        return brute_force_exact(s, budget=budget)
-    if name == "greedy":
-        t0 = time.perf_counter()
-        a = greedy_feasible(s)
-        return _one_shot_report(s, a, "greedy", time.perf_counter() - t0)
-    if name == "random":
-        t0 = time.perf_counter()
-        a = random_feasible(s, seed)
-        return _one_shot_report(s, a, "random", time.perf_counter() - t0)
-    if name == "worst-user":
-        return greedy_worst_user(s, random_feasible(s, seed), max_rounds=max_rounds)
-    if name == "local-search":
-        return local_search_move(s, random_feasible(s, seed), max_iters=max_iters, seed=seed)
-    raise ValueError(f"unknown solver {name!r}")
+# Solver name -> solve(system, seed, args), where args carries the budget,
+# max_rounds and max_iters flags that `solve` and `bench` share.
+SOLVERS = {
+    "brute": lambda s, seed, args: brute_force_exact(s, budget=args.budget),
+    "greedy": _construction("greedy", lambda s, seed: greedy_feasible(s)),
+    "random": _construction("random", lambda s, seed: random_feasible(s, seed)),
+    "worst-user": lambda s, seed, args: greedy_worst_user(
+        s, random_feasible(s, seed), max_rounds=args.max_rounds
+    ),
+    "local-search": lambda s, seed, args: local_search_move(
+        s, random_feasible(s, seed), max_iters=args.max_iters
+    ),
+}
+SOLVER_NAMES = tuple(SOLVERS)
 
 
 def _split_solvers(arg: str) -> list[str]:
@@ -188,7 +192,7 @@ def cmd_solve(args) -> int:
     rows = []
     rate_rows = []
     for name in solvers:
-        rep = _run_solver(name, s, args.seed, args.budget, args.max_rounds, args.max_iters)
+        rep = SOLVERS[name](s, args.seed, args)
         rows.append(_report_row(args.instance, rep))
         for k in range(s.k_users):
             rate_rows.append(
@@ -225,7 +229,6 @@ def cmd_verify(args) -> int:
         p = fileio.read_partition(args.partition)
         s = mkp_to_pa(g, exact=args.exact)
         a = mkp_solution_to_pa(p)
-        m_mkp = mkp_objective(g, p)
         rep = verify_measure_equality(s, a, exact=args.exact, graph=g)
     status = "PASS" if rep.passed else "FAIL"
     print(
@@ -248,10 +251,7 @@ def cmd_bench(args) -> int:
         )
         s = generate_system(cfg, args.aps, args.users, args.pilots)
         instance = f"gen-{seed}"
-        reports = {
-            name: _run_solver(name, s, seed, args.budget, args.max_rounds, args.max_iters)
-            for name in solvers
-        }
+        reports = {name: SOLVERS[name](s, seed, args) for name in solvers}
         for name in solvers:
             rows.append(_report_row(instance, reports[name]))
         if "brute" in reports:

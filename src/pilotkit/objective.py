@@ -13,8 +13,11 @@ weight; the equivalent ordered form (summing user by user over co-pilot
 partners, one side at a time) reaches the same total because each pair
 then contributes its two one-sided terms separately.
 
-All functions accept ``exact=True`` to run in rational arithmetic, used
-by the reduction verifier.
+Every consumer reads w from one K x K interference matrix, built once
+per system by ``interference_matrix``; ``pairwise_interference`` stays as
+the scalar definition it is checked against. All functions accept
+``exact=True`` to run in rational arithmetic, used by the reduction
+verifier.
 """
 
 from __future__ import annotations
@@ -23,10 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 from .system_model import (
     CfMmimoSystem,
     PilotAssignment,
     check_assignment,
+    derived,
     exact_beta_squares,
 )
 
@@ -34,6 +40,9 @@ __all__ = [
     "ContaminationReport",
     "co_pilot_set",
     "pairwise_interference",
+    "interference_matrix",
+    "interference_pairs",
+    "co_pilot_sum",
     "contamination_objective",
     "contamination_report",
 ]
@@ -83,18 +92,85 @@ def pairwise_interference(
     return _one_sided(s, k, k2) + _one_sided(s, k2, k)
 
 
+def _interference_float(s: CfMmimoSystem) -> np.ndarray:
+    # Row k holds the one-sided terms sum_{m in A(k)} (beta[j, m] / beta[k, m])**2
+    # for every j. The ratios are laid out in C order, so each row is reduced
+    # like the 1-D sum in pairwise_interference and the entries equal the
+    # scalar weights bit for bit.
+    one_sided = np.empty((s.k_users, s.k_users))
+    for k, aps in enumerate(s.serving_sets):
+        idx = list(aps)
+        ratios = np.ascontiguousarray(s.beta[:, idx]) / s.beta[k, idx]
+        one_sided[k] = (ratios * ratios).sum(axis=1)
+    w = one_sided + one_sided.T
+    np.fill_diagonal(w, 0.0)
+    w.setflags(write=False)
+    return w
+
+
+def _interference_exact(s: CfMmimoSystem) -> tuple[tuple[Fraction, ...], ...]:
+    bsq = exact_beta_squares(s)
+    k_users = s.k_users
+    one_sided = [
+        [_one_sided_exact(bsq, s.serving_sets, k, j) for j in range(k_users)]
+        for k in range(k_users)
+    ]
+    return tuple(
+        tuple(
+            Fraction(0) if i == j else one_sided[i][j] + one_sided[j][i]
+            for j in range(k_users)
+        )
+        for i in range(k_users)
+    )
+
+
+def interference_matrix(s: CfMmimoSystem, exact: bool = False):
+    """The K x K matrix W of pair weights, W[k, k'] = w(k, k'), zero diagonal.
+
+    Built once per system and memoised (see ``system_model.derived``), so
+    the system must not change afterwards. Float mode returns a read-only
+    numpy array; ``exact=True`` returns a tuple of tuples of Fractions.
+    Raises ValueError on an invalid system.
+    """
+    return derived(s, _interference_exact if exact else _interference_float)
+
+
+def interference_pairs(s: CfMmimoSystem, exact: bool = False) -> list[tuple[int, int, Weight]]:
+    """(i, j, w(i, j)) for every pair i < j, in lexicographic order."""
+    w = interference_matrix(s, exact=exact)
+    ii, jj = np.triu_indices(s.k_users, 1)
+    ii, jj = ii.tolist(), jj.tolist()
+    values = [w[i][j] for i, j in zip(ii, jj)] if exact else w[ii, jj].tolist()
+    return list(zip(ii, jj, values))
+
+
+def _co_pilot_pairs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the co-pilot pairs i < j, lexicographic."""
+    return np.nonzero(np.triu(labels[:, None] == labels[None, :], 1))
+
+
+def co_pilot_sum(w: np.ndarray, labels: np.ndarray) -> float:
+    """Sum of w[i, j] over co-pilot pairs i < j.
+
+    The terms are added one at a time in lexicographic pair order (a
+    cumulative sum, not numpy's pairwise reduction), so the value is the
+    same float a plain loop over the pairs produces.
+    """
+    values = w[_co_pilot_pairs(labels)]
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
 def contamination_objective(
     s: CfMmimoSystem, a: PilotAssignment, exact: bool = False
 ) -> Weight:
     """Total contamination of a feasible assignment (lower is better)."""
     check_assignment(s, a)
-    total: Weight = Fraction(0) if exact else 0.0
-    pilots = a.pilot_of
-    for i in range(s.k_users):
-        for j in range(i + 1, s.k_users):
-            if pilots[i] == pilots[j]:
-                total += pairwise_interference(s, i, j, exact=exact)
-    return total
+    w = interference_matrix(s, exact=exact)
+    labels = np.asarray(a.pilot_of)
+    if not exact:
+        return co_pilot_sum(w, labels)
+    ii, jj = _co_pilot_pairs(labels)
+    return sum((w[i][j] for i, j in zip(ii.tolist(), jj.tolist())), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -122,15 +198,14 @@ class ContaminationReport:
 def contamination_report(s: CfMmimoSystem, a: PilotAssignment) -> ContaminationReport:
     """Evaluate the objective and keep the pairwise breakdown."""
     check_assignment(s, a)
+    w = interference_matrix(s)
+    ii, jj = _co_pilot_pairs(np.asarray(a.pilot_of))
     per_pair: dict[tuple[int, int], float] = {}
     per_user = [0.0] * s.k_users
     total = 0.0
-    for i in range(s.k_users):
-        for j in range(i + 1, s.k_users):
-            if a.pilot_of[i] == a.pilot_of[j]:
-                w = pairwise_interference(s, i, j)
-                per_pair[(i, j)] = w
-                per_user[i] += w
-                per_user[j] += w
-                total += w
+    for i, j, wij in zip(ii.tolist(), jj.tolist(), w[ii, jj].tolist()):
+        per_pair[(i, j)] = wij
+        per_user[i] += wij
+        per_user[j] += wij
+        total += wij
     return ContaminationReport(total=total, per_pair=per_pair, per_user=tuple(per_user))

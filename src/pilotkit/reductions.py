@@ -24,13 +24,8 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .objective import contamination_objective, pairwise_interference
-from .system_model import (
-    CfMmimoSystem,
-    PilotAssignment,
-    _gamma_from_beta,
-    validate_system,
-)
+from .objective import contamination_objective, interference_pairs
+from .system_model import CfMmimoSystem, PilotAssignment, _gamma_from_beta
 
 __all__ = [
     "InvalidPartitionError",
@@ -60,7 +55,7 @@ class InvalidPartitionError(ValueError):
 class WeightedGraph:
     """Undirected edge-weighted graph, the Min-k-Partition instance.
 
-    weights maps unordered vertex pairs (stored with i < j) to
+    weights maps unordered vertex pairs (stored with i < j) to finite
     nonnegative weights; absent pairs weigh 0. Weights may be int, float
     or Fraction; rational weights keep partition objectives exact.
     """
@@ -85,6 +80,8 @@ class WeightedGraph:
                 raise ValueError(f"edge ({i}, {j}) out of range")
             if w < 0:
                 raise ValueError(f"negative weight {w} on edge ({i}, {j})")
+            if not w < math.inf:
+                raise ValueError(f"non-finite weight {w} on edge ({i}, {j})")
             key = (i, j) if i < j else (j, i)
             if key in norm and norm[key] != w:
                 raise ValueError(f"conflicting weights for edge {key}")
@@ -146,15 +143,9 @@ def pa_to_mkp(s: CfMmimoSystem, exact: bool = False) -> WeightedGraph:
 
     Complete graph on the users (zero-weight edges kept explicit), edge
     weight equal to the pairwise interference, block count equal to the
-    pilot count.
+    pilot count. Raises ValueError on an invalid system.
     """
-    result = validate_system(s)
-    if not result.ok:
-        raise ValueError("invalid system: " + "; ".join(result.violations))
-    weights: dict[tuple[int, int], Weight] = {}
-    for i in range(s.k_users):
-        for j in range(i + 1, s.k_users):
-            weights[(i, j)] = pairwise_interference(s, i, j, exact=exact)
+    weights = {(i, j): w for i, j, w in interference_pairs(s, exact=exact)}
     return WeightedGraph(s.k_users, s.tau_pilots, weights)
 
 

@@ -17,9 +17,11 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
-from .objective import contamination_objective, pairwise_interference
+import numpy as np
+
+from .objective import co_pilot_sum, contamination_objective, interference_pairs
 from .reductions import Partition, WeightedGraph, pa_to_mkp
 from .system_model import (
     CfMmimoSystem,
@@ -126,16 +128,6 @@ def _min_over_surjections(n: int, k: int, pairs, budget: int):
     return best_val, best, visited
 
 
-def _interference_pairs(s: CfMmimoSystem, exact: bool):
-    pairs = []
-    for i in range(s.k_users):
-        for j in range(i + 1, s.k_users):
-            w = pairwise_interference(s, i, j, exact=exact)
-            if w != 0:
-                pairs.append((i, j, w))
-    return pairs
-
-
 def brute_force_exact(
     s: CfMmimoSystem, budget: int = DEFAULT_BUDGET, exact: bool = False
 ) -> SolveReport:
@@ -145,10 +137,11 @@ def brute_force_exact(
     Stirling number of the second kind) and reports the lexicographically
     smallest optimum. Raises BudgetExceededError, with the required
     count, when the space is larger than budget; never truncates
-    silently. ``exact=True`` evaluates in rational arithmetic.
+    silently. ``exact=True`` evaluates in rational arithmetic. Raises
+    ValueError on an invalid system instead of certifying a value of it.
     """
     t0 = time.perf_counter()
-    pairs = _interference_pairs(s, exact)
+    pairs = [(i, j, w) for i, j, w in interference_pairs(s, exact=exact) if w != 0]
     denom = 1
     if exact:
         pairs, denom = _scaled_int_pairs(pairs)
@@ -307,11 +300,17 @@ def greedy_worst_user(
     )
 
 
+def _dense_weights(g: WeightedGraph) -> np.ndarray:
+    w = np.zeros((g.n_vertices, g.n_vertices))
+    if g.weights:
+        ends = np.fromiter(itertools.chain.from_iterable(g.weights), dtype=int)
+        ii, jj = ends[0::2], ends[1::2]
+        w[ii, jj] = w[jj, ii] = np.fromiter(g.weights.values(), dtype=float)
+    return w
+
+
 def local_search_move(
-    s: CfMmimoSystem,
-    init: PilotAssignment,
-    max_iters: int = 10_000,
-    seed: Optional[int] = None,
+    s: CfMmimoSystem, init: PilotAssignment, max_iters: int = 10_000
 ) -> SolveReport:
     """Steepest-descent single-user moves on the reduced graph objective.
 
@@ -319,64 +318,42 @@ def local_search_move(
     to another pilot, applies the move with the most negative objective
     change (ties: lowest user, then lowest pilot), and stops at a local
     optimum or after max_iters moves. The objective never increases. The
-    search is deterministic; seed is accepted for interface symmetry with
-    the randomized solvers and is currently unused.
+    search is deterministic.
     """
-    del seed
     check_assignment(s, init)
     t0 = time.perf_counter()
-    graph = pa_to_mkp(s)
+    w = _dense_weights(pa_to_mkp(s))
     k_users, tau = s.k_users, s.tau_pilots
-    w = [[0.0] * k_users for _ in range(k_users)]
-    for (i, j), wij in graph.weights.items():
-        w[i][j] = w[j][i] = float(wij)
-
-    def objective_of(labels: Sequence[int]) -> float:
-        total = 0.0
-        for i in range(k_users):
-            li = labels[i]
-            row = w[i]
-            for j in range(i + 1, k_users):
-                if labels[j] == li:
-                    total += row[j]
-        return total
-
-    labels = list(init.pilot_of)
-    group = [0] * tau
-    for p in labels:
-        group[p] += 1
-    cur = objective_of(labels)
+    users = np.arange(k_users)
+    labels = np.array(init.pilot_of)
+    on_pilot = np.zeros((k_users, tau))
+    on_pilot[users, labels] = 1.0
+    group = np.bincount(labels, minlength=tau)
+    cur = co_pilot_sum(w, labels)
     moves = 0
     while moves < max_iters:
-        best_delta = 0.0
-        best_move = None
-        for k in range(k_users):
-            if group[labels[k]] < 2:
-                continue
-            row = w[k]
-            stay = sum(row[j] for j in range(k_users) if j != k and labels[j] == labels[k])
-            for p in range(tau):
-                if p == labels[k]:
-                    continue
-                go = sum(row[j] for j in range(k_users) if labels[j] == p)
-                delta = go - stay
-                if delta < best_delta:
-                    best_delta = delta
-                    best_move = (k, p)
-        if best_move is None:
+        # gain[k, p]: total weight between k and the users on pilot p, so
+        # moving k to p changes the objective by gain[k, p] - gain[k, own].
+        gain = w @ on_pilot
+        delta = gain - gain[users, labels][:, None]
+        delta[users, labels] = np.inf
+        delta[group[labels] < 2] = np.inf  # moving k would empty its pilot
+        k, p = divmod(int(np.argmin(delta)), tau)  # first minimum in (k, p) order
+        if not delta[k, p] < 0.0:
             break
-        k, p = best_move
-        trial = list(labels)
+        trial = labels.copy()
         trial[k] = p
-        new = objective_of(trial)
+        new = co_pilot_sum(w, trial)
         if new >= cur:  # float re-association guard; keeps descent strict
             break
+        on_pilot[k, labels[k]] = 0.0
+        on_pilot[k, p] = 1.0
         group[labels[k]] -= 1
         group[p] += 1
         labels, cur = trial, new
         moves += 1
 
-    final = PilotAssignment(tuple(labels), tau)
+    final = PilotAssignment(tuple(labels.tolist()), tau)
     return SolveReport(
         assignment=final,
         objective=contamination_objective(s, final),

@@ -201,11 +201,35 @@ def check_assignment(s: CfMmimoSystem, a: PilotAssignment) -> None:
         )
 
 
-# Cache of float-derived exact squares, keyed by system identity. Systems are
-# immutable after construction, so the derived payload never goes stale.
-_EXACT_BSQ_CACHE: "weakref.WeakKeyDictionary[CfMmimoSystem, tuple]" = (
-    weakref.WeakKeyDictionary()
-)
+# Values derived from a system, memoised per system object and keyed by the
+# function that builds them. Systems are immutable after construction (their
+# arrays are read-only), so a derived value never goes stale; the entries die
+# with the system.
+_DERIVED: "weakref.WeakKeyDictionary[CfMmimoSystem, dict]" = weakref.WeakKeyDictionary()
+
+
+def derived(s: CfMmimoSystem, build):
+    """build(s), computed once per system object and memoised.
+
+    The first call for a system validates it and raises
+    ``ValueError("invalid system: ...")`` when it is malformed, so nothing
+    is ever derived from an invalid system. Builders return read-only
+    arrays or tuples, because every caller shares the memoised value.
+    """
+    memo = _DERIVED.get(s)
+    if memo is None:
+        result = validate_system(s)
+        if not result.ok:
+            raise ValueError("invalid system: " + "; ".join(result.violations))
+        memo = _DERIVED[s] = {}
+    value = memo.get(build)
+    if value is None:
+        value = memo[build] = build(s)
+    return value
+
+
+def _float_beta_squares(s: CfMmimoSystem) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(Fraction(float(b)) ** 2 for b in row) for row in s.beta)
 
 
 def exact_beta_squares(s: CfMmimoSystem) -> tuple[tuple[Fraction, ...], ...]:
@@ -218,13 +242,7 @@ def exact_beta_squares(s: CfMmimoSystem) -> tuple[tuple[Fraction, ...], ...]:
     """
     if s.beta_sq_exact is not None:
         return s.beta_sq_exact
-    cached = _EXACT_BSQ_CACHE.get(s)
-    if cached is None:
-        cached = tuple(
-            tuple(Fraction(float(b)) ** 2 for b in row) for row in s.beta
-        )
-        _EXACT_BSQ_CACHE[s] = cached
-    return cached
+    return derived(s, _float_beta_squares)
 
 
 @dataclass(frozen=True)
@@ -383,6 +401,38 @@ def generate_system(
     return s
 
 
+def _rate_terms(s: CfMmimoSystem) -> tuple[np.ndarray, ...]:
+    """The assignment-independent parts of every user's SINR.
+
+    Returns (numerator, noncoherent, noise, coherent), the first three
+    indexed by user k: rho_u * eta[k] * (sum of gamma over A(k))**2, the
+    non-coherent interference, and the noise term sum(gamma over A(k)).
+    coherent[k, j] = eta[j] * (sum_{m in A(k)} gamma[k, m] beta[j, m] / beta[k, m])**2
+    is what user j adds, before the factor rho_u, to k's coherent
+    interference when the two share a pilot; its diagonal is zero. Each
+    entry is evaluated in the same order as a direct per-user loop, so
+    rates are the same floats.
+    """
+    k_users = s.k_users
+    noise = np.empty(k_users)
+    noncoherent = np.empty(k_users)
+    coherent = np.empty((k_users, k_users))
+    for k, aps in enumerate(s.serving_sets):
+        idx = list(aps)
+        g = s.gamma[k, idx]
+        noise[k] = g.sum()
+        noncoherent[k] = s.rho_u * (s.eta @ (s.beta[:, idx] @ g))
+        # C order, so each row is reduced like a 1-D sum over A(k).
+        ratio = (g * (np.ascontiguousarray(s.beta[:, idx]) / s.beta[k, idx])).sum(axis=1)
+        coherent[k] = s.eta * ratio * ratio
+    np.fill_diagonal(coherent, 0.0)
+    numerator = s.rho_u * s.eta * noise * noise
+    terms = (numerator, noncoherent, noise, coherent)
+    for arr in terms:
+        arr.setflags(write=False)
+    return terms
+
+
 def uplink_rate(s: CfMmimoSystem, a: PilotAssignment, k: int) -> float:
     """Uplink achievable rate of user k in bits/s/Hz.
 
@@ -390,30 +440,20 @@ def uplink_rate(s: CfMmimoSystem, a: PilotAssignment, k: int) -> float:
     rho_u * eta[k] * (sum of gamma over the serving set squared) and the
     denominator adds coherent interference from users sharing k's pilot,
     non-coherent interference from every user (including k itself), and
-    the noise term sum(gamma).
+    the noise term sum(gamma). Only the coherent term depends on the
+    assignment: it is a masked row sum of per-system coefficients.
     """
     check_assignment(s, a)
     if not 0 <= k < s.k_users:
         raise IndexError(f"user index {k} out of range [0, {s.k_users})")
-
-    idx = np.asarray(s.serving_sets[k], dtype=int)
-    g = s.gamma[k, idx]
-    b_own = s.beta[k, idx]
-    gsum = float(g.sum())
-    numerator = s.rho_u * float(s.eta[k]) * gsum * gsum
-    if numerator == 0.0:
+    numerator, noncoherent, noise, coherent = derived(s, _rate_terms)
+    if numerator[k] == 0.0:
         return 0.0
-
-    pk = a.pilot_of[k]
-    coherent = 0.0
-    for j in range(s.k_users):
-        if j != k and a.pilot_of[j] == pk:
-            ratio = float((g * (s.beta[j, idx] / b_own)).sum())
-            coherent += float(s.eta[j]) * ratio * ratio
-    coherent *= s.rho_u
-
-    noncoherent = s.rho_u * float(s.eta @ (s.beta[:, idx] @ g))
-    sinr = numerator / (coherent + noncoherent + gsum)
+    labels = np.asarray(a.pilot_of)
+    # Co-pilot terms added one at a time in user order (a cumulative sum),
+    # as a loop over the co-pilot users adds them.
+    interference = np.cumsum(coherent[k, labels == labels[k]])[-1] * s.rho_u
+    sinr = numerator[k] / (interference + noncoherent[k] + noise[k])
     prelog = (1.0 - s.tau_pilots / s.tau_c) / 2.0
     return prelog * math.log2(1.0 + sinr)
 

@@ -112,6 +112,14 @@ class TestReduce:
         code = run("reduce", "mkp-to-pa", "--in", inst, "--out", tmp_path / "x.txt")
         assert code == 3
 
+    def test_nan_weight_is_validation_failure(self, tmp_path, capsys):
+        gpath = tmp_path / "nan.txt"
+        gpath.write_text("mkp-graph/1\nvertices 3\nparts 2\nedge 0 1 nan\nedge 1 2\n")
+        out = tmp_path / "x.txt"
+        assert run("reduce", "mkp-to-pa", "--in", gpath, "--out", out) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_brute_on_triangle_reduction(self, tmp_path, capsys):

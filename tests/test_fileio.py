@@ -119,6 +119,11 @@ class TestGraphFormat:
         with pytest.raises(FormatError, match="bad"):
             parse_graph("mkp-graph/1\nvertices 2\nparts 2\nedge 0 1 x\n")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e999"])
+    def test_non_finite_weight_rejected(self, token):
+        with pytest.raises(FormatError, match="non-finite"):
+            parse_graph(f"mkp-graph/1\nvertices 2\nparts 2\nedge 0 1 {token}\n")
+
     def test_structural_errors_become_format_errors(self):
         with pytest.raises(FormatError, match="k_parts"):
             parse_graph("mkp-graph/1\nvertices 2\nparts 5\n")

@@ -73,6 +73,11 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match="negative"):
             WeightedGraph(3, 2, {(0, 1): -1})
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf])
+    def test_rejects_non_finite_weight(self, w):
+        with pytest.raises(ValueError, match="non-finite"):
+            WeightedGraph(3, 2, {(0, 1): 1, (1, 2): w})
+
     def test_rejects_conflicting_duplicates(self):
         with pytest.raises(ValueError, match="conflicting"):
             WeightedGraph(3, 2, {(0, 1): 1, (1, 0): 2})

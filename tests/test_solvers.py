@@ -81,6 +81,13 @@ class TestBruteForce:
         report = brute_force_exact(s)
         assert report.objective == contamination_objective(s, report.assignment)
 
+    def test_invalid_system_refused(self):
+        # a zero coefficient on a serving link would make every weight of
+        # user 0 infinite; nothing may be certified for such a system
+        s = make_system([[0.0, 1.0], [1.0, 1.0], [1.0, 1.0]], [(0,), (1,), (1,)], tau=2)
+        with pytest.raises(ValueError, match="invalid system.*beta\\[0, 0\\]"):
+            brute_force_exact(s)
+
     def test_no_assignment_beats_reported_optimum(self):
         import itertools
 
