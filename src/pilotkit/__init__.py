@@ -31,7 +31,6 @@ from .reductions import (
 )
 from .solvers import (
     BudgetExceededError,
-    PartitionSolveReport,
     SolveReport,
     brute_force_exact,
     brute_force_partition,
@@ -87,7 +86,6 @@ __all__ = [
     "verify_measure_equality",
     "graphs_equal",
     "SolveReport",
-    "PartitionSolveReport",
     "BudgetExceededError",
     "count_surjective_assignments",
     "brute_force_exact",

@@ -63,12 +63,9 @@ def _one_sided(s: CfMmimoSystem, k: int, other: int) -> float:
     return float((ratios * ratios).sum())
 
 
-def _one_sided_exact(bsq, serving, k: int, other: int) -> Fraction:
-    total = Fraction(0)
-    row_o, row_k = bsq[other], bsq[k]
-    for m in serving[k]:
-        total += row_o[m] / row_k[m]
-    return total
+def _one_sided_exact(s: CfMmimoSystem, k: int, other: int) -> Fraction:
+    bsq = exact_beta_squares(s)
+    return sum((bsq[other, m] / bsq[k, m] for m in s.serving_sets[k]), Fraction(0))
 
 
 def pairwise_interference(
@@ -85,10 +82,7 @@ def pairwise_interference(
         if not 0 <= u < s.k_users:
             raise IndexError(f"user index {u} out of range [0, {s.k_users})")
     if exact:
-        bsq = exact_beta_squares(s)
-        return _one_sided_exact(bsq, s.serving_sets, k, k2) + _one_sided_exact(
-            bsq, s.serving_sets, k2, k
-        )
+        return _one_sided_exact(s, k, k2) + _one_sided_exact(s, k2, k)
     return _one_sided(s, k, k2) + _one_sided(s, k2, k)
 
 
@@ -102,34 +96,32 @@ def _interference_float(s: CfMmimoSystem) -> np.ndarray:
         idx = list(aps)
         ratios = np.ascontiguousarray(s.beta[:, idx]) / s.beta[k, idx]
         one_sided[k] = (ratios * ratios).sum(axis=1)
+    return _symmetrised(one_sided, 0.0)
+
+
+def _interference_exact(s: CfMmimoSystem) -> np.ndarray:
+    # The same rows in rational arithmetic, from the exact squares of beta.
+    bsq = exact_beta_squares(s)
+    one_sided = np.empty((s.k_users, s.k_users), dtype=object)
+    for k, aps in enumerate(s.serving_sets):
+        idx = list(aps)
+        one_sided[k] = (bsq[:, idx] / bsq[k, idx]).sum(axis=1)
+    return _symmetrised(one_sided, Fraction(0))
+
+
+def _symmetrised(one_sided: np.ndarray, zero: Weight) -> np.ndarray:
     w = one_sided + one_sided.T
-    np.fill_diagonal(w, 0.0)
+    np.fill_diagonal(w, zero)
     w.setflags(write=False)
     return w
-
-
-def _interference_exact(s: CfMmimoSystem) -> tuple[tuple[Fraction, ...], ...]:
-    bsq = exact_beta_squares(s)
-    k_users = s.k_users
-    one_sided = [
-        [_one_sided_exact(bsq, s.serving_sets, k, j) for j in range(k_users)]
-        for k in range(k_users)
-    ]
-    return tuple(
-        tuple(
-            Fraction(0) if i == j else one_sided[i][j] + one_sided[j][i]
-            for j in range(k_users)
-        )
-        for i in range(k_users)
-    )
 
 
 def interference_matrix(s: CfMmimoSystem, exact: bool = False):
     """The K x K matrix W of pair weights, W[k, k'] = w(k, k'), zero diagonal.
 
     Built once per system and memoised (see ``system_model.derived``), so
-    the system must not change afterwards. Float mode returns a read-only
-    numpy array; ``exact=True`` returns a tuple of tuples of Fractions.
+    the system must not change afterwards. Returns a read-only numpy array:
+    float64 by default, an object array of Fractions with ``exact=True``.
     Raises ValueError on an invalid system.
     """
     return derived(s, _interference_exact if exact else _interference_float)
@@ -139,9 +131,7 @@ def interference_pairs(s: CfMmimoSystem, exact: bool = False) -> list[tuple[int,
     """(i, j, w(i, j)) for every pair i < j, in lexicographic order."""
     w = interference_matrix(s, exact=exact)
     ii, jj = np.triu_indices(s.k_users, 1)
-    ii, jj = ii.tolist(), jj.tolist()
-    values = [w[i][j] for i, j in zip(ii, jj)] if exact else w[ii, jj].tolist()
-    return list(zip(ii, jj, values))
+    return list(zip(ii.tolist(), jj.tolist(), w[ii, jj].tolist()))
 
 
 def _co_pilot_pairs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,15 +139,18 @@ def _co_pilot_pairs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(np.triu(labels[:, None] == labels[None, :], 1))
 
 
-def co_pilot_sum(w: np.ndarray, labels: np.ndarray) -> float:
-    """Sum of w[i, j] over co-pilot pairs i < j.
+def co_pilot_sum(w: np.ndarray, labels: np.ndarray) -> Weight:
+    """Sum of w[i, j] over co-pilot pairs i < j, for a W with zero diagonal.
 
     The terms are added one at a time in lexicographic pair order (a
     cumulative sum, not numpy's pairwise reduction), so the value is the
-    same float a plain loop over the pairs produces.
+    same float a plain loop over the pairs produces. Returns a Python
+    float for a float W and a Fraction for an object array of Fractions.
     """
     values = w[_co_pilot_pairs(labels)]
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
+    # With no co-pilot pair the sum is a diagonal entry: zero, in W's type.
+    total = np.cumsum(values)[-1:] if values.size else w[0, :1]
+    return total.tolist()[0]
 
 
 def contamination_objective(
@@ -165,12 +158,7 @@ def contamination_objective(
 ) -> Weight:
     """Total contamination of a feasible assignment (lower is better)."""
     check_assignment(s, a)
-    w = interference_matrix(s, exact=exact)
-    labels = np.asarray(a.pilot_of)
-    if not exact:
-        return co_pilot_sum(w, labels)
-    ii, jj = _co_pilot_pairs(labels)
-    return sum((w[i][j] for i, j in zip(ii.tolist(), jj.tolist())), Fraction(0))
+    return co_pilot_sum(interference_matrix(s, exact=exact), np.asarray(a.pilot_of))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .objective import contamination_objective, interference_pairs
-from .system_model import CfMmimoSystem, PilotAssignment, _gamma_from_beta
+from .system_model import CfMmimoSystem, PilotAssignment, _gamma_from_beta, _listed
 
 __all__ = [
     "InvalidPartitionError",
@@ -104,6 +104,11 @@ class Partition:
         object.__setattr__(self, "block_of", tuple(int(b) for b in self.block_of))
         if self.n_blocks < 1:
             raise InvalidPartitionError("need at least one block")
+        if self.n_blocks > len(self.block_of):
+            raise InvalidPartitionError(
+                f"{self.n_blocks} blocks for {len(self.block_of)} vertices: "
+                "some blocks are empty"
+            )
         seen = set()
         for b in self.block_of:
             if not 0 <= b < self.n_blocks:
@@ -113,7 +118,7 @@ class Partition:
             seen.add(b)
         if len(seen) != self.n_blocks:
             empty = sorted(set(range(self.n_blocks)) - seen)
-            raise InvalidPartitionError(f"blocks {empty} are empty")
+            raise InvalidPartitionError(f"blocks {_listed(empty)} are empty")
 
     @property
     def n_vertices(self) -> int:
@@ -168,23 +173,16 @@ def mkp_to_pa(
     n = g.n_vertices
     m = n + n_dummy_aps
     beta = np.zeros((n, m))
-    for i in range(n):
-        beta[i, i] = 1.0
+    np.fill_diagonal(beta, 1.0)
     for (i, j), w in g.weights.items():
-        val = math.sqrt(float(w) / 2.0)
-        beta[i, j] = val
-        beta[j, i] = val
+        beta[i, j] = beta[j, i] = math.sqrt(float(w) / 2.0)
 
     bsq = None
     if exact:
-        rows = [[Fraction(0)] * m for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = Fraction(1)
+        bsq = np.full((n, m), Fraction(0), dtype=object)
+        np.fill_diagonal(bsq, Fraction(1))
         for (i, j), w in g.weights.items():
-            half = (Fraction(w) if isinstance(w, (int, Fraction)) else Fraction(float(w))) / 2
-            rows[i][j] = half
-            rows[j][i] = half
-        bsq = tuple(tuple(r) for r in rows)
+            bsq[i, j] = bsq[j, i] = Fraction(w) / 2
 
     tau = g.k_parts
     return CfMmimoSystem(
@@ -243,14 +241,13 @@ def verify_measure_equality(
     s: CfMmimoSystem,
     a: PilotAssignment,
     exact: bool = False,
-    rel_tol: float = DEFAULT_REL_TOL,
     graph: WeightedGraph | None = None,
 ) -> MeasureEqualityReport:
     """Certify that reducing (system, assignment) preserves the objective.
 
     Computes the contamination objective directly and the partition
     objective of the reduced (graph, partition) pair, then compares:
-    within rel_tol in float mode, exactly in rational mode. ``graph``
+    within DEFAULT_REL_TOL in float mode, exactly in rational mode. ``graph``
     overrides the reduction output, which lets callers probe corrupted
     reductions; by default the graph is derived from the system.
     """
@@ -264,7 +261,7 @@ def verify_measure_equality(
     if exact:
         passed = m_pa == m_mkp
     else:
-        passed = rel_diff <= rel_tol
+        passed = rel_diff <= DEFAULT_REL_TOL
     return MeasureEqualityReport(
         m_pa=m_pa,
         m_mkp=m_mkp,

@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .objective import co_pilot_sum, contamination_objective, interference_pairs
-from .reductions import Partition, WeightedGraph, pa_to_mkp
+from .reductions import WeightedGraph, pa_to_mkp
 from .system_model import (
     CfMmimoSystem,
     PilotAssignment,
@@ -34,7 +34,6 @@ from .system_model import (
 __all__ = [
     "BudgetExceededError",
     "SolveReport",
-    "PartitionSolveReport",
     "DEFAULT_BUDGET",
     "count_surjective_assignments",
     "brute_force_exact",
@@ -59,25 +58,44 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solver output; objective always matches a recomputation of the
-    contamination objective on the reported assignment."""
+    """Solver output, for pilot assignment and Min-k-Partition alike.
+
+    On a system, objective always equals ``contamination_objective`` of the
+    reported assignment and throughput equals ``system_throughput``. A graph
+    solve (``brute_force_partition``) reports its partition as the
+    assignment whose pilot labels are the block labels, its own partition
+    objective, and throughput None.
+    """
 
     assignment: PilotAssignment
     objective: Value
-    throughput: float
+    throughput: Optional[float]
     solver_name: str
     iterations: int
     elapsed_seconds: float
     optimality_certificate: str  # "exact" | "heuristic"
 
+    @classmethod
+    def of(
+        cls, s: Optional[CfMmimoSystem], a: PilotAssignment, solver_name: str, t0: float,
+        iterations: int = 0, certificate: str = "heuristic", exact: bool = False,
+        throughput: Optional[float] = None, objective: Optional[Value] = None,
+    ) -> "SolveReport":
+        """Score a on s and time the solve from t0, a perf_counter reading.
 
-@dataclass(frozen=True)
-class PartitionSolveReport:
-    partition: Partition
-    objective: Value
-    iterations: int
-    elapsed_seconds: float
-    optimality_certificate: str
+        Every solver builds its report here. The objective is recomputed
+        (in rational arithmetic when exact) and the throughput is
+        recomputed unless the solver passes the one it already has. A
+        graph solve passes s=None and its objective instead.
+        """
+        if s is not None:
+            objective = contamination_objective(s, a, exact=exact)
+            if throughput is None:
+                throughput = system_throughput(s, a)
+        return cls(
+            a, objective, throughput, solver_name, iterations,
+            time.perf_counter() - t0, certificate,
+        )
 
 
 def count_surjective_assignments(k_users: int, n_pilots: int) -> int:
@@ -88,29 +106,28 @@ def count_surjective_assignments(k_users: int, n_pilots: int) -> int:
     )
 
 
-def _scaled_int_pairs(pairs):
-    """Rescale rational pair weights to integers; returns (pairs, denominator)."""
-    denom = 1
-    for _, _, w in pairs:
-        denom = math.lcm(denom, Fraction(w).denominator)
-    scaled = [(i, j, int(Fraction(w) * denom)) for i, j, w in pairs]
-    return scaled, denom
-
-
 def _min_over_surjections(n: int, k: int, pairs, budget: int):
     """Minimize the same-label pair-weight sum over surjective labelings.
 
-    pairs is a list of (i, j, w); zero-weight pairs may be omitted by the
-    caller. Returns (best value, best labeling, surjections visited); the
-    labeling is the lexicographically smallest optimum because candidates
-    are enumerated in lexicographic order and replaced only on strict
-    improvement.
+    pairs is an iterable of (i, j, w). Zero weights are dropped. When
+    every remaining w is an int or a Fraction the sums run over integers
+    (the weights rescaled by their common denominator) and the value is a
+    Fraction; otherwise it is a float. Returns (best value, best labeling,
+    surjections visited); the labeling is the lexicographically smallest
+    optimum because candidates are enumerated in lexicographic order and
+    replaced only on strict improvement.
     """
     total = count_surjective_assignments(n, k)
     if total > budget:
         raise BudgetExceededError(
             f"exact enumeration needs {total} assignments, budget is {budget}"
         )
+    pairs = [(i, j, w) for i, j, w in pairs if w != 0]
+    rational = all(isinstance(w, (int, Fraction)) for _, _, w in pairs)
+    denom = 1
+    if rational:
+        denom = math.lcm(*(Fraction(w).denominator for _, _, w in pairs))
+        pairs = [(i, j, int(Fraction(w) * denom)) for i, j, w in pairs]
     best_val = None
     best = None
     visited = 0
@@ -125,7 +142,8 @@ def _min_over_surjections(n: int, k: int, pairs, budget: int):
         if best_val is None or v < best_val:
             best_val = v
             best = cand
-    return best_val, best, visited
+    value: Value = Fraction(best_val, denom) if rational else float(best_val)
+    return value, best, visited
 
 
 def brute_force_exact(
@@ -141,53 +159,25 @@ def brute_force_exact(
     ValueError on an invalid system instead of certifying a value of it.
     """
     t0 = time.perf_counter()
-    pairs = [(i, j, w) for i, j, w in interference_pairs(s, exact=exact) if w != 0]
-    denom = 1
-    if exact:
-        pairs, denom = _scaled_int_pairs(pairs)
-    best_val, best, visited = _min_over_surjections(
-        s.k_users, s.tau_pilots, pairs, budget
-    )
-    assignment = PilotAssignment(best, s.tau_pilots)
-    objective: Value = Fraction(best_val, denom) if exact else float(best_val)
-    return SolveReport(
-        assignment=assignment,
-        objective=objective,
-        throughput=system_throughput(s, assignment),
-        solver_name="brute",
-        iterations=visited,
-        elapsed_seconds=time.perf_counter() - t0,
-        optimality_certificate="exact",
-    )
+    pairs = interference_pairs(s, exact=exact)
+    _, best, visited = _min_over_surjections(s.k_users, s.tau_pilots, pairs, budget)
+    a = PilotAssignment(best, s.tau_pilots)
+    return SolveReport.of(s, a, "brute", t0, visited, "exact", exact=exact)
 
 
-def brute_force_partition(
-    g: WeightedGraph, budget: int = DEFAULT_BUDGET
-) -> PartitionSolveReport:
+def brute_force_partition(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Exact Min-k-Partition by enumeration of surjective labelings.
 
     Exact whenever the graph's weights are int or Fraction (they are
     rescaled to integers internally); float weights are summed as floats.
+    The partition is reported as the assignment of its block labels, with
+    throughput None.
     """
     t0 = time.perf_counter()
-    pairs = [(i, j, w) for (i, j), w in sorted(g.weights.items()) if w != 0]
-    denom = 1
-    rational = all(isinstance(w, (int, Fraction)) for _, _, w in pairs)
-    if rational:
-        pairs, denom = _scaled_int_pairs(pairs)
-    best_val, best, visited = _min_over_surjections(
-        g.n_vertices, g.k_parts, pairs, budget
-    )
-    objective: Value = (
-        Fraction(best_val, denom) if rational else float(best_val)
-    )
-    return PartitionSolveReport(
-        partition=Partition(best, g.k_parts),
-        objective=objective,
-        iterations=visited,
-        elapsed_seconds=time.perf_counter() - t0,
-        optimality_certificate="exact",
-    )
+    pairs = [(i, j, w) for (i, j), w in sorted(g.weights.items())]
+    value, best, visited = _min_over_surjections(g.n_vertices, g.k_parts, pairs, budget)
+    a = PilotAssignment(best, g.k_parts)
+    return SolveReport.of(None, a, "brute", t0, visited, "exact", objective=value)
 
 
 def decide(s: CfMmimoSystem, q, budget: int = DEFAULT_BUDGET) -> bool:
@@ -289,15 +279,7 @@ def greedy_worst_user(
             accepted += 1
         else:
             break
-    return SolveReport(
-        assignment=current,
-        objective=contamination_objective(s, current),
-        throughput=sum(rates),
-        solver_name="worst-user",
-        iterations=accepted,
-        elapsed_seconds=time.perf_counter() - t0,
-        optimality_certificate="heuristic",
-    )
+    return SolveReport.of(s, current, "worst-user", t0, accepted, throughput=sum(rates))
 
 
 def _dense_weights(g: WeightedGraph) -> np.ndarray:
@@ -354,12 +336,4 @@ def local_search_move(
         moves += 1
 
     final = PilotAssignment(tuple(labels.tolist()), tau)
-    return SolveReport(
-        assignment=final,
-        objective=contamination_objective(s, final),
-        throughput=system_throughput(s, final),
-        solver_name="local-search",
-        iterations=moves,
-        elapsed_seconds=time.perf_counter() - t0,
-        optimality_certificate="heuristic",
-    )
+    return SolveReport.of(s, final, "local-search", t0, moves)

@@ -44,6 +44,12 @@ class InfeasibleAssignmentError(ValueError):
     """A pilot assignment that is not a surjective map onto the pilot set."""
 
 
+def _listed(labels: list[int], cap: int = 10) -> str:
+    """labels as a list, cut after cap entries to keep a message short."""
+    more = f" and {len(labels) - cap} more" if len(labels) > cap else ""
+    return f"{labels[:cap]}{more}"
+
+
 @dataclass(frozen=True)
 class PilotAssignment:
     """Map from users to pilots.
@@ -60,6 +66,11 @@ class PilotAssignment:
         object.__setattr__(self, "pilot_of", tuple(int(p) for p in self.pilot_of))
         if self.n_pilots < 1:
             raise InfeasibleAssignmentError("need at least one pilot")
+        if self.n_pilots > len(self.pilot_of):
+            raise InfeasibleAssignmentError(
+                f"assignment is not surjective: {self.n_pilots} pilots "
+                f"for {len(self.pilot_of)} users"
+            )
         used = set()
         for p in self.pilot_of:
             if not 0 <= p < self.n_pilots:
@@ -70,7 +81,7 @@ class PilotAssignment:
         if len(used) != self.n_pilots:
             missing = sorted(set(range(self.n_pilots)) - used)
             raise InfeasibleAssignmentError(
-                f"assignment is not surjective: pilots {missing} unused"
+                f"assignment is not surjective: pilots {_listed(missing)} unused"
             )
 
     @property
@@ -92,8 +103,9 @@ class CfMmimoSystem:
     fixed before pilot assignment. ``beta_sq_exact``, when present,
     carries exact rational values of beta**2 so that reduction
     certificates avoid square-root rounding; it is filled in by the
-    graph-to-system construction in rational mode and ignored by the
-    floating-point paths.
+    graph-to-system construction in rational mode, stored as a read-only
+    K x M object array of Fractions, and ignored by the floating-point
+    paths.
     """
 
     m_aps: int
@@ -105,7 +117,7 @@ class CfMmimoSystem:
     eta: np.ndarray
     rho_u: float
     tau_c: int
-    beta_sq_exact: Optional[tuple[tuple[Fraction, ...], ...]] = None
+    beta_sq_exact: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         beta = np.ascontiguousarray(np.asarray(self.beta, dtype=float))
@@ -116,6 +128,8 @@ class CfMmimoSystem:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "eta", eta)
+        if self.beta_sq_exact is not None:
+            object.__setattr__(self, "beta_sq_exact", _fraction_array(self.beta_sq_exact))
         object.__setattr__(
             self,
             "serving_sets",
@@ -180,11 +194,8 @@ def validate_system(s: CfMmimoSystem) -> ValidationResult:
             elif s.beta[k, m] <= 0:
                 v.append(f"zero coefficient on serving link: beta[{k}, {m}] = {s.beta[k, m]}")
 
-    if s.beta_sq_exact is not None:
-        if len(s.beta_sq_exact) != s.k_users or any(
-            len(row) != s.m_aps for row in s.beta_sq_exact
-        ):
-            v.append("exact beta-square payload has wrong shape")
+    if s.beta_sq_exact is not None and s.beta_sq_exact.shape != (s.k_users, s.m_aps):
+        v.append("exact beta-square payload has wrong shape")
 
     return ValidationResult(not v, tuple(v))
 
@@ -228,12 +239,19 @@ def derived(s: CfMmimoSystem, build):
     return value
 
 
-def _float_beta_squares(s: CfMmimoSystem) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(float(b)) ** 2 for b in row) for row in s.beta)
+def _fraction_array(rows) -> np.ndarray:
+    """Rows of Fractions as a read-only object array (1-D if ragged)."""
+    arr = np.array(rows, dtype=object)
+    arr.setflags(write=False)
+    return arr
 
 
-def exact_beta_squares(s: CfMmimoSystem) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact rational values of beta**2.
+def _float_beta_squares(s: CfMmimoSystem) -> np.ndarray:
+    return _fraction_array([[Fraction(float(b)) ** 2 for b in row] for row in s.beta])
+
+
+def exact_beta_squares(s: CfMmimoSystem) -> np.ndarray:
+    """Exact rational values of beta**2, a read-only K x M object array.
 
     Prefers the symbolic payload installed by the rational-mode reduction;
     otherwise converts each stored float bit-exactly (every finite float is

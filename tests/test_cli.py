@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pilotkit import contamination_objective, graphs_equal
-from pilotkit.cli import main
+from pilotkit.cli import SOLVER_NAMES, main
 from pilotkit.fileio import (
     format_assignment,
     format_graph,
@@ -192,6 +192,19 @@ class TestSolve:
                 "--out", tmp_path / "r.csv")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("solver", SOLVER_NAMES)
+    def test_zero_beta_on_serving_link_is_validation_failure(self, tmp_path, capsys, solver):
+        inst = gen_instance(tmp_path)
+        m = read_instance(inst).serving_sets[0][0]
+        text = inst.read_text()
+        row = next(ln for ln in text.splitlines() if ln.startswith("beta "))
+        cells = row.split()
+        cells[1 + m] = "0.0"
+        inst.write_text(text.replace(row, " ".join(cells)))
+        code = run("solve", "--instance", inst, "--solver", solver, "--out", tmp_path / "r.csv")
+        assert code == 3
+        assert "invalid system" in capsys.readouterr().err
+
     def test_budget_refusal_exit_code(self, tmp_path, capsys):
         inst = gen_instance(tmp_path, users=8, aps=16)
         code = run("solve", "--instance", inst, "--solver", "brute",
@@ -241,6 +254,13 @@ class TestVerify:
         bad = tmp_path / "bad.txt"
         bad.write_text("pa-assignment/1\nusers 5\npilots 2\nassign 0 0 0 0 0\n")
         assert run("verify", "--instance", inst, "--assignment", bad) == 3
+
+    def test_huge_pilot_count_is_validation_failure(self, tmp_path, capsys):
+        inst = gen_instance(tmp_path)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("pa-assignment/1\nusers 5\npilots 99999999999999999999\nassign 0 1 0 1 0\n")
+        assert run("verify", "--instance", inst, "--assignment", bad) == 3
+        assert "not surjective" in capsys.readouterr().err
 
     def test_mixed_modes_are_usage_error(self, tmp_path):
         inst = gen_instance(tmp_path)

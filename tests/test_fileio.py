@@ -2,9 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotkit import (
+    CfMmimoSystem,
     GenerationConfig,
+    InfeasibleAssignmentError,
+    InvalidPartitionError,
     Partition,
     PilotAssignment,
     WeightedGraph,
@@ -158,3 +163,161 @@ class TestPartitionFormat:
         p = Partition((0, 1, 2, 0), 3)
         text = format_partition(p)
         assert format_partition(parse_partition(text)) == text
+
+
+class TestHugeCounts:
+    """A count far beyond the labels given is refused before any work
+    proportional to the count."""
+
+    def test_huge_pilot_count(self):
+        text = f"pa-assignment/1\nusers 2\npilots {10**18}\nassign 0 1\n"
+        with pytest.raises(InfeasibleAssignmentError, match="not surjective"):
+            parse_assignment(text)
+
+    def test_huge_part_count(self):
+        text = f"mkp-partition/1\nvertices 2\nparts {10**18}\nassign 0 1\n"
+        with pytest.raises(InvalidPartitionError, match="empty"):
+            parse_partition(text)
+
+    def test_missing_labels_are_capped_in_the_message(self):
+        with pytest.raises(InfeasibleAssignmentError, match=r"\[1, 2, .*, 10\] and 39 more") as exc:
+            PilotAssignment((0,) * 50, 50)
+        assert len(str(exc.value)) < 120
+        with pytest.raises(InvalidPartitionError, match="and 39 more"):
+            Partition((0,) * 50, 50)
+
+
+# Hypothesis fuzzing of the four parsers: each either returns a value or
+# raises one of the three input errors, all of which the CLI maps to exit 3.
+INPUT_ERRORS = (FormatError, InfeasibleAssignmentError, InvalidPartitionError)
+PARSERS = {
+    "instance": parse_instance,
+    "graph": parse_graph,
+    "assignment": parse_assignment,
+    "partition": parse_partition,
+}
+HEADER_KEYS = ("aps", "users", "pilots", "vertices", "parts")
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+counts = st.one_of(
+    st.integers(-3, 8),
+    st.integers(-(10**20), 10**20),
+    st.sampled_from([10**18, 99999999999999999999, -(10**18)]),
+)
+tokens = st.one_of(
+    counts.map(str),
+    st.floats().map(repr),
+    st.tuples(st.integers(-9, 99), st.integers(-3, 9)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "1/0", "0x10", "1_0", "x", "#", "edge"]),
+    st.text(max_size=5),
+)
+
+
+@st.composite
+def labels(draw, max_count=5):
+    count = draw(st.integers(1, max_count))
+    extra = draw(st.lists(st.integers(0, count - 1), max_size=5))
+    return tuple(draw(st.permutations(list(range(count)) + extra))), count
+
+
+@st.composite
+def systems(draw):
+    m, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    matrix = st.lists(st.lists(finite, min_size=m, max_size=m), min_size=k, max_size=k)
+    return CfMmimoSystem(
+        m_aps=m,
+        k_users=k,
+        tau_pilots=draw(st.integers(1, k)),
+        beta=np.array(draw(matrix)),
+        serving_sets=tuple(draw(st.lists(st.sets(st.integers(0, m - 1)), min_size=k, max_size=k))),
+        gamma=np.array(draw(matrix)),
+        eta=np.array(draw(st.lists(finite, min_size=k, max_size=k))),
+        rho_u=draw(finite),
+        tau_c=draw(st.integers(-5, 500)),
+    )
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 6))
+    weight = st.one_of(
+        st.integers(0, 10**30),
+        st.fractions(min_value=0, max_denominator=10**6),
+        st.floats(min_value=0, allow_infinity=False),
+    )
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
+    return WeightedGraph(n, draw(st.integers(1, n)), draw(st.dictionaries(pairs, weight, max_size=8)))
+
+
+def _valid_text(kind):
+    if kind == "instance":
+        return systems().map(format_instance)
+    if kind == "graph":
+        return graphs().map(format_graph)
+    if kind == "assignment":
+        return labels().map(lambda lc: format_assignment(PilotAssignment(*lc)))
+    return labels().map(lambda lc: format_partition(Partition(*lc)))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A well-formed document of a random kind, then up to four edits:
+    a header count replaced (huge and negative counts included), a token
+    replaced, a line dropped, duplicated or inserted."""
+    kind = draw(st.sampled_from(sorted(PARSERS)))
+    lines = draw(_valid_text(kind)).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["count", "token", "drop", "dup", "insert"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "count":
+            lines[i] = f"{draw(st.sampled_from(HEADER_KEYS))} {draw(counts)}"
+        elif op == "token":
+            cells = lines[i].split() or [""]
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(tokens)
+            lines[i] = " ".join(cells)
+        elif op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, lines[i])
+        elif op == "insert":
+            lines.insert(i, " ".join(draw(st.lists(tokens, max_size=4))))
+    return kind, "\n".join(lines) + "\n"
+
+
+class TestParserFuzzing:
+    @given(doc=mutated_documents())
+    @settings(max_examples=400, deadline=None)
+    def test_parsers_raise_only_input_errors(self, doc):
+        kind, text = doc
+        try:
+            PARSERS[kind](text)
+        except INPUT_ERRORS:
+            pass
+
+    @given(text=st.text(max_size=60), kind=st.sampled_from(sorted(PARSERS)))
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_text_raises_only_input_errors(self, text, kind):
+        try:
+            PARSERS[kind](text)
+        except INPUT_ERRORS:
+            pass
+
+    @given(s=systems())
+    @settings(max_examples=60, deadline=None)
+    def test_instance_round_trip(self, s):
+        assert systems_value_equal(parse_instance(format_instance(s)), s)
+
+    @given(g=graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_graph_round_trip(self, g):
+        back = parse_graph(format_graph(g))
+        assert graphs_equal(back, g)
+
+    @given(lc=labels())
+    @settings(max_examples=60, deadline=None)
+    def test_label_round_trips(self, lc):
+        a, p = PilotAssignment(*lc), Partition(*lc)
+        back_a = parse_assignment(format_assignment(a))
+        back_p = parse_partition(format_partition(p))
+        assert (back_a.pilot_of, back_a.n_pilots) == lc
+        assert (back_p.block_of, back_p.n_blocks) == lc

@@ -154,6 +154,13 @@ class TestContaminationObjective:
             a = random_feasible(s, seed)
             assert contamination_objective(s, a) >= 0.0
 
+    def test_empty_co_pilot_set_keeps_the_mode_type(self):
+        s = make_system(np.ones((3, 3)), [(0,), (1,), (2,)], tau=3)
+        a = PilotAssignment((0, 1, 2), 3)
+        value, exact = contamination_objective(s, a), contamination_objective(s, a, exact=True)
+        assert type(value) is float and value == 0.0
+        assert type(exact) is Fraction and exact == 0
+
     def test_exact_mode_equals_float_on_reduced(self):
         s = make_system([[1.0, 2.0], [2.0, 1.0]], [(0,), (1,)], tau=1)
         a = PilotAssignment((0, 0), 1)

@@ -1,3 +1,4 @@
+import argparse
 import random
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ import pytest
 
 from pilotkit import (
     BudgetExceededError,
+    Partition,
     PilotAssignment,
+    SolveReport,
     brute_force_exact,
     brute_force_partition,
     coloring_to_mkp,
@@ -16,11 +19,15 @@ from pilotkit import (
     greedy_feasible,
     greedy_worst_user,
     local_search_move,
+    mkp_objective,
     mkp_to_pa,
     pa_to_mkp,
     random_feasible,
+    system_throughput,
     uplink_rate,
 )
+from pilotkit.cli import SOLVERS
+from pilotkit.solvers import DEFAULT_BUDGET
 
 from conftest import make_system, small_random_system
 
@@ -279,3 +286,28 @@ class TestLocalSearch:
         init = random_feasible(s, 3)
         report = local_search_move(s, init, max_iters=0)
         assert report.assignment == init
+
+
+class TestReportContract:
+    """Every report is scored by recomputation on its own assignment."""
+
+    @pytest.mark.parametrize("k_users, tau", [(6, 2), (6, 3), (10, 2), (10, 3)])
+    def test_objective_and_throughput_recompute(self, k_users, tau):
+        args = argparse.Namespace(budget=DEFAULT_BUDGET, max_rounds=100, max_iters=10_000)
+        for seed in range(2):
+            s = small_random_system(seed, m_aps=2 * k_users, k_users=k_users, tau=tau)
+            reports = [(solve(s, seed, args), False) for solve in SOLVERS.values()]
+            reports.append((brute_force_exact(s, exact=True), True))
+            for report, exact in reports:
+                objective = contamination_objective(s, report.assignment, exact=exact)
+                assert report.objective == objective
+                assert type(report.objective) is type(objective)
+                assert report.throughput == system_throughput(s, report.assignment)
+
+    def test_partition_report(self):
+        for seed in range(3):
+            g = pa_to_mkp(small_random_system(seed, k_users=6, tau=3))
+            report = brute_force_partition(g)
+            assert isinstance(report, SolveReport) and report.throughput is None
+            p = Partition(report.assignment.pilot_of, g.k_parts)
+            assert report.objective == mkp_objective(g, p)

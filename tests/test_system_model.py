@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -12,8 +13,11 @@ from pilotkit import (
     GenerationConfig,
     InfeasibleAssignmentError,
     PilotAssignment,
+    WeightedGraph,
     compute_gamma_default,
     generate_system,
+    interference_matrix,
+    mkp_to_pa,
     system_throughput,
     uplink_rate,
     validate_system,
@@ -292,3 +296,17 @@ class TestExactBetaSquares:
     def test_cached_per_system(self):
         s = small_random_system(seed=32)
         assert exact_beta_squares(s) is exact_beta_squares(s)
+
+    def test_read_only_fraction_arrays(self):
+        s = small_random_system(seed=33)
+        g = WeightedGraph(3, 2, {(0, 1): Fraction(1, 3), (1, 2): 2})
+        payload = mkp_to_pa(g, n_dummy_aps=1, exact=True).beta_sq_exact
+        assert payload.shape == (3, 4) and payload[1, 0] == payload[0, 1] == Fraction(1, 6)
+        for arr in (exact_beta_squares(s), payload, interference_matrix(s, exact=True)):
+            assert arr.dtype == object and not arr.flags.writeable
+            assert all(type(x) is Fraction for x in arr.flat)
+
+    def test_payload_shape_checked(self):
+        s = mkp_to_pa(WeightedGraph(2, 1, {(0, 1): 1}), exact=True)
+        bad = dataclasses.replace(s, beta_sq_exact=[[Fraction(1)], [Fraction(1), Fraction(0)]])
+        assert "exact beta-square payload has wrong shape" in validate_system(bad).violations
