@@ -247,12 +247,18 @@ def verify_measure_equality(
 
     Computes the contamination objective directly and the partition
     objective of the reduced (graph, partition) pair, then compares:
-    within DEFAULT_REL_TOL in float mode, exactly in rational mode. ``graph``
-    overrides the reduction output, which lets callers probe corrupted
-    reductions; by default the graph is derived from the system.
+    within DEFAULT_REL_TOL in float mode, exactly in rational mode, where a
+    float weight counts at its exact value. ``graph`` overrides the
+    reduction output, which lets callers probe corrupted reductions; by
+    default the graph is derived from the system.
     """
     if graph is None:
         graph = pa_to_mkp(s, exact=exact)
+    elif exact:
+        # Sum the exact values of float weights, as the system side sums
+        # the exact squares of beta.
+        exact_weights = {e: Fraction(w) for e, w in graph.weights.items()}
+        graph = WeightedGraph(graph.n_vertices, graph.k_parts, exact_weights)
     m_pa = contamination_objective(s, a, exact=exact)
     m_mkp = mkp_objective(graph, pa_solution_to_mkp(a))
     abs_diff = abs(float(m_pa) - float(m_mkp))

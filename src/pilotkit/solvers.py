@@ -1,8 +1,9 @@
 """Assignment solvers: exact enumeration at desk scale plus baselines.
 
-The exact solver enumerates every surjective assignment as a base-tau
-counter (lexicographic order, giving reproducible tie-breaks) and is the
-oracle the heuristics are measured against. The heuristics re-implement
+The exact solver enumerates every surjective assignment in lexicographic
+order (giving reproducible tie-breaks), block by block in numpy, growing
+only prefixes that can still be completed; it is the oracle the
+heuristics are measured against. The heuristics re-implement
 the simple schemes common in the pilot-assignment literature: uniform
 random assignment, linear-time greedy feasibility, iterative improvement
 of the worst user's rate, and steepest-descent local search on the
@@ -11,6 +12,7 @@ reduced interference graph.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -50,6 +52,13 @@ Value = Union[float, Fraction]
 # Strong NP-hardness rules out cheap exactness at scale; refuse loudly
 # rather than run for hours. 2e6 assignments is roughly K=21 at tau=2.
 DEFAULT_BUDGET = 2_000_000
+
+# Labelings scored together: enough to amortise one numpy call per pair
+# weight over many labelings, few enough to keep each block small.
+_BLOCK = 8192
+
+# Uniform labelings random_feasible draws before it samples exactly.
+_REJECTION_DRAWS = 64
 
 
 class BudgetExceededError(RuntimeError):
@@ -98,12 +107,68 @@ class SolveReport:
         )
 
 
+def _completions(unused: int, left: int, n_labels: int) -> int:
+    """Labelings of `left` items with n_labels labels using all of `unused` given ones."""
+    return sum(
+        (-1) ** i * math.comb(unused, i) * (n_labels - i) ** left
+        for i in range(unused + 1)
+    )
+
+
 def count_surjective_assignments(k_users: int, n_pilots: int) -> int:
     """Number of surjections from k_users onto n_pilots, by inclusion-exclusion."""
-    return sum(
-        (-1) ** i * math.comb(n_pilots, i) * (n_pilots - i) ** k_users
-        for i in range(n_pilots + 1)
-    )
+    return _completions(n_pilots, k_users, n_pilots)
+
+
+def _extend(prefix: np.ndarray, used: np.ndarray, need: int):
+    """Extend each prefix by every label after which it uses `need` labels or more.
+
+    prefix is (d, r) and used (r, k) bool; returns the (d + 1, r')
+    prefixes, in lexicographic order, and the labels each has used. Kept
+    out of the recursion so its temporaries are freed before the next
+    level is built.
+    """
+    parent, label = np.nonzero(used.sum(axis=1, keepdims=True) + ~used >= need)
+    grown = used[parent]
+    grown[np.arange(parent.size), label] = True
+    return np.vstack((prefix[:, parent], label.astype(np.int8))), grown
+
+
+def _surjection_blocks(n: int, k: int):
+    """Every surjective labeling of n items with k labels, in lexicographic order.
+
+    Yields (n, rows) int8 arrays of at most _BLOCK labelings, one labeling
+    per column. Prefixes grow one item at a time, each by every label, in
+    increasing order, that still leaves enough items to use the labels it
+    lacks. So every prefix built has a surjective completion, and the work
+    is at most n * k tried extensions per surjection. (int8 holds any
+    label count a budget can afford: 128 labels take 128! labelings.)
+    """
+    step = max(1, _BLOCK // k)  # prefixes whose extensions fit in one block
+
+    def grow(prefix, used):
+        # prefix: (d, r) labels of r prefixes in lexicographic order;
+        # used: (r, k) bool, the labels each prefix has used.
+        d = prefix.shape[0]
+        if d == n:
+            yield prefix
+            return
+        need = k - (n - d - 1)  # labels a completable prefix of length d + 1 uses
+        for lo in range(0, prefix.shape[1], step):
+            yield from grow(*_extend(prefix[:, lo:lo + step], used[lo:lo + step], need))
+
+    # The last level yields one piece per `step` prefixes, often far short
+    # of a block; merge the pieces into full blocks before they are scored.
+    pending, size = [], 0
+    for piece in grow(np.zeros((0, 1), np.int8), np.zeros((1, k), bool)):
+        pending.append(piece)
+        size += piece.shape[1]
+        while size >= _BLOCK:
+            merged = np.hstack(pending)
+            yield merged[:, :_BLOCK]
+            pending, size = [merged[:, _BLOCK:]], size - _BLOCK
+    if size:
+        yield np.hstack(pending)
 
 
 def _min_over_surjections(n: int, k: int, pairs, budget: int):
@@ -128,20 +193,23 @@ def _min_over_surjections(n: int, k: int, pairs, budget: int):
     if rational:
         denom = math.lcm(*(Fraction(w).denominator for _, _, w in pairs))
         pairs = [(i, j, int(Fraction(w) * denom)) for i, j, w in pairs]
+    # float64 totals when every weight is a float; otherwise (integers, or
+    # mixed types) Python objects, so each addition is Python's own.
+    floats = not rational and all(isinstance(w, float) for _, _, w in pairs)
     best_val = None
     best = None
     visited = 0
-    for cand in itertools.product(range(k), repeat=n):
-        if len(set(cand)) != k:
-            continue
-        visited += 1
-        v = 0
+    for labels in _surjection_blocks(n, k):
+        totals = np.zeros(labels.shape[1], dtype=float if floats else object)
+        # One masked addition per pair, in pair order: each labeling's total
+        # is the sequence of additions a scalar loop over the pairs makes.
         for i, j, w in pairs:
-            if cand[i] == cand[j]:
-                v += w
-        if best_val is None or v < best_val:
-            best_val = v
-            best = cand
+            np.add(totals, w, out=totals, where=labels[i] == labels[j])
+        b = int(np.argmin(totals))  # the block's first minimum
+        if best_val is None or totals[b] < best_val:
+            best_val = totals[b]
+            best = tuple(labels[:, b].tolist())
+        visited += labels.shape[1]
     value: Value = Fraction(best_val, denom) if rational else float(best_val)
     return value, best, visited
 
@@ -216,18 +284,29 @@ def greedy_feasible(
 def random_feasible(s: CfMmimoSystem, seed: int) -> PilotAssignment:
     """Uniform draw over feasible assignments.
 
-    Rejection-samples uniform labelings until one is surjective, which
-    leaves the uniform distribution on the surjections; deterministic
-    for a given seed.
+    Rejection-samples up to _REJECTION_DRAWS uniform labelings and returns
+    the first surjective one. If all are rejected (likely when tau is
+    close to K), it goes on with the same generator and labels the users
+    in order, giving each pilot a probability proportional to its number
+    of surjective completions. Either way the draw is uniform on the
+    surjections; deterministic for a given seed.
     """
     k, tau = s.k_users, s.tau_pilots
     if tau > k:
         raise ValueError(f"pilot count {tau} exceeds user count {k}")
     rng = random.Random(seed)
-    while True:
+    for _ in range(_REJECTION_DRAWS):
         cand = [rng.randrange(tau) for _ in range(k)]
         if len(set(cand)) == tau:
             return PilotAssignment(tuple(cand), tau)
+    pilots: list[int] = []
+    for user in range(k):
+        unused = tau - len(set(pilots))
+        cum = list(itertools.accumulate(
+            _completions(unused - (p not in pilots), k - user - 1, tau) for p in range(tau)
+        ))
+        pilots.append(bisect.bisect_right(cum, rng.randrange(cum[-1])))
+    return PilotAssignment(tuple(pilots), tau)
 
 
 def _all_rates(s: CfMmimoSystem, a: PilotAssignment) -> list[float]:

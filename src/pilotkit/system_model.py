@@ -104,8 +104,8 @@ class CfMmimoSystem:
     carries exact rational values of beta**2 so that reduction
     certificates avoid square-root rounding; it is filled in by the
     graph-to-system construction in rational mode, stored as a read-only
-    K x M object array of Fractions, and ignored by the floating-point
-    paths.
+    K x M object array of Fractions (each entry converted with Fraction),
+    and ignored by the floating-point paths.
     """
 
     m_aps: int
@@ -129,7 +129,8 @@ class CfMmimoSystem:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "eta", eta)
         if self.beta_sq_exact is not None:
-            object.__setattr__(self, "beta_sq_exact", _fraction_array(self.beta_sq_exact))
+            exact = [[Fraction(x) for x in row] for row in self.beta_sq_exact]
+            object.__setattr__(self, "beta_sq_exact", _fraction_array(exact))
         object.__setattr__(
             self,
             "serving_sets",

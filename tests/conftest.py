@@ -24,6 +24,11 @@ def make_system(beta, serving_sets, tau, gamma=None, eta=None, rho_u=1.0, tau_c=
     )
 
 
+def flat_system(k_users, tau):
+    """All-ones fading, one shared AP: every pair weighs the same."""
+    return make_system(np.ones((k_users, 1)), [(0,)] * k_users, tau=tau)
+
+
 @pytest.fixture
 def unit_pair_system():
     """Two symmetric users, one pilot, unit fading everywhere."""

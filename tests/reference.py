@@ -5,13 +5,59 @@ These are the per-pair and per-user loops that ``local_search_move``,
 arithmetic. They read the fading matrix directly and take every pair
 weight from the scalar ``pairwise_interference``, so the differential
 tests compare the matrix code against an independent evaluation.
+``min_over_surjections`` is the tuple-by-tuple enumeration the numpy
+block enumerator of the exact solvers replaced, and ``random_feasible``
+the plain rejection sampler.
 """
 
+import itertools
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 
 from pilotkit import PilotAssignment, pairwise_interference
+
+
+def min_over_surjections(n, k, pairs):
+    """Every labeling in itertools.product order, non-surjective ones skipped.
+
+    Same contract as ``solvers._min_over_surjections`` without the budget:
+    returns (best value, best labeling, surjections visited).
+    """
+    pairs = [(i, j, w) for i, j, w in pairs if w != 0]
+    rational = all(isinstance(w, (int, Fraction)) for _, _, w in pairs)
+    denom = 1
+    if rational:
+        denom = math.lcm(*(Fraction(w).denominator for _, _, w in pairs))
+        pairs = [(i, j, int(Fraction(w) * denom)) for i, j, w in pairs]
+    best_val = None
+    best = None
+    visited = 0
+    for cand in itertools.product(range(k), repeat=n):
+        if len(set(cand)) != k:
+            continue
+        visited += 1
+        v = 0
+        for i, j, w in pairs:
+            if cand[i] == cand[j]:
+                v += w
+        if best_val is None or v < best_val:
+            best_val = v
+            best = cand
+    value = Fraction(best_val, denom) if rational else float(best_val)
+    return value, best, visited
+
+
+def random_feasible(k, tau, seed, draws):
+    """First surjective labeling among `draws` uniform ones, or None."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        cand = [rng.randrange(tau) for _ in range(k)]
+        if len(set(cand)) == tau:
+            return tuple(cand)
+    return None
 
 
 def uplink_rate(s, a, k):

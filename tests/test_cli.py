@@ -249,6 +249,18 @@ class TestVerify:
         assert run("verify", "--graph", gpath, "--partition", ppath, "--exact") == 0
         assert "PASS mode=rational" in capsys.readouterr().out
 
+    def test_graph_partition_exact_on_float_weights(self, tmp_path, capsys):
+        # the graph pa-to-mkp writes has float weights; rational mode must
+        # sum their exact values on both sides
+        inst = gen_instance(tmp_path, aps=24, users=8, pilots=3)
+        gpath = tmp_path / "g.txt"
+        assert run("reduce", "pa-to-mkp", "--in", inst, "--out", gpath) == 0
+        ppath = tmp_path / "p.txt"
+        ppath.write_text("mkp-partition/1\nvertices 8\nparts 3\nassign 0 1 2 0 1 2 0 1\n")
+        capsys.readouterr()
+        assert run("verify", "--graph", gpath, "--partition", ppath, "--exact") == 0
+        assert capsys.readouterr().out.startswith("PASS mode=rational")
+
     def test_infeasible_assignment_file(self, tmp_path, capsys):
         inst = gen_instance(tmp_path)
         bad = tmp_path / "bad.txt"

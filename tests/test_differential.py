@@ -1,18 +1,28 @@
 """Differential tests: the matrix code against the loop references.
 
 The interference matrix is checked entry by entry against the scalar
-``pairwise_interference``; local search, worst-user and the uplink rate
-against the loop versions in ``reference.py``, which they replaced.
+``pairwise_interference``; local search, worst-user, the uplink rate and
+the exact solvers' surjection enumerator against the loop versions in
+``reference.py``, which they replaced.
 """
 
 import math
+import random
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotkit import (
     GenerationConfig,
+    WeightedGraph,
+    brute_force_exact,
+    coloring_to_mkp,
     contamination_objective,
+    count_surjective_assignments,
     generate_system,
     greedy_worst_user,
     interference_matrix,
@@ -21,8 +31,11 @@ from pilotkit import (
     random_feasible,
     uplink_rate,
 )
+from pilotkit import solvers
+from pilotkit.objective import interference_pairs
 
 import reference
+from conftest import flat_system
 
 REL = 1e-12
 
@@ -97,3 +110,91 @@ def test_uplink_rate_matches_reference(shape, seed):
     a = random_feasible(s, seed)
     for k in range(s.k_users):
         assert math.isclose(uplink_rate(s, a, k), reference.uplink_rate(s, a, k), rel_tol=REL)
+
+
+# (K, M, tau) of the enumerator comparisons: ordinary shapes, then the
+# edge shapes tau = 1, tau = K and K = 1.
+ENUM_SHAPES = [(6, 16, 2), (7, 20, 3), (8, 24, 4), (5, 16, 1), (5, 16, 5), (1, 4, 1)]
+
+
+def _graph(n, k, seed, weight):
+    r = random.Random(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if r.random() < 0.7]
+    return WeightedGraph(n, k, {e: weight(r) for e in pairs})
+
+
+GRAPH_WEIGHTS = {
+    "int": lambda r: r.randint(0, 3),
+    "fraction": lambda r: Fraction(r.randint(0, 9), r.randint(1, 6)),
+    "float": lambda r: r.choice([0.1, 0.2, 0.3, 1 / 3, 2.5]),
+    "mixed": lambda r: r.choice([1, Fraction(1, 3), 0.1, 0.3]),
+}
+
+
+def _assert_same_as_reference(n, k, pairs):
+    pairs = list(pairs)
+    value, labels, visited = solvers._min_over_surjections(n, k, pairs, solvers.DEFAULT_BUDGET)
+    ref_value, ref_labels, ref_visited = reference.min_over_surjections(n, k, pairs)
+    assert type(value) is type(ref_value)
+    assert repr(value) == repr(ref_value)  # the same bits for a float
+    assert labels == ref_labels
+    assert visited == ref_visited == count_surjective_assignments(n, k)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("shape", ENUM_SHAPES)
+def test_enumerator_matches_reference_on_systems(shape, exact):
+    for seed in (1, 2):
+        s = _system(shape, seed)
+        _assert_same_as_reference(s.k_users, s.tau_pilots, interference_pairs(s, exact=exact))
+
+
+# Blocks of 7 labelings put equal optima in different blocks.
+@pytest.mark.parametrize("block", [solvers._BLOCK, 7])
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("k_users, tau", [(5, 2), (6, 3), (4, 4), (4, 1)])
+def test_enumerator_matches_reference_on_ties(k_users, tau, exact, block):
+    s = flat_system(k_users, tau)  # labelings with equal block sizes tie
+    with mock.patch.object(solvers, "_BLOCK", block):
+        _assert_same_as_reference(k_users, tau, interference_pairs(s, exact=exact))
+
+
+@pytest.mark.parametrize("weight", sorted(GRAPH_WEIGHTS))
+def test_enumerator_matches_reference_on_graphs(weight):
+    for seed in range(6):
+        n = 3 + seed % 5
+        g = _graph(n, min(n, 2 + seed % 3), seed, GRAPH_WEIGHTS[weight])
+        _assert_same_as_reference(n, g.k_parts, sorted((i, j, w) for (i, j), w in g.weights.items()))
+
+
+@pytest.mark.parametrize("block", [solvers._BLOCK, 7])
+def test_enumerator_matches_reference_on_coloring_graphs(block):
+    r = random.Random(5)
+    for k in (2, 3, 4):
+        edges = [(i, j) for i in range(7) for j in range(i + 1, 7) if r.random() < 0.4]
+        g = coloring_to_mkp(7, edges, k)
+        pairs = sorted((i, j, w) for (i, j), w in g.weights.items())
+        with mock.patch.object(solvers, "_BLOCK", block):
+            _assert_same_as_reference(7, k, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_blocks_hold_every_surjection_once_in_order(n, data):
+    k = data.draw(st.integers(1, n), label="k")
+    block = data.draw(st.integers(1, 40), label="block")
+    with mock.patch.object(solvers, "_BLOCK", block):
+        blocks = list(solvers._surjection_blocks(n, k))
+    assert all(b.dtype == np.int8 and b.shape[0] == n for b in blocks)
+    assert all(b.shape[1] == block for b in blocks[:-1]) and 1 <= blocks[-1].shape[1] <= block
+    labelings = [tuple(col) for b in blocks for col in b.T.tolist()]
+    # strictly increasing, all surjective, and as many as there are
+    # surjections: every surjection exactly once
+    assert all(a < b for a, b in zip(labelings, labelings[1:]))
+    assert all(set(lab) == set(range(k)) for lab in labelings)
+    assert len(labelings) == count_surjective_assignments(n, k)
+
+
+def test_brute_force_visits_every_surjection_at_k9_tau8():
+    s = _system((9, 32, 8), 1)
+    assert brute_force_exact(s).iterations == 1_451_520

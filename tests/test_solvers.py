@@ -1,12 +1,16 @@
 import argparse
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from pilotkit import (
     BudgetExceededError,
+    GenerationConfig,
     Partition,
     PilotAssignment,
     SolveReport,
@@ -16,6 +20,7 @@ from pilotkit import (
     contamination_objective,
     count_surjective_assignments,
     decide,
+    generate_system,
     greedy_feasible,
     greedy_worst_user,
     local_search_move,
@@ -26,17 +31,14 @@ from pilotkit import (
     system_throughput,
     uplink_rate,
 )
+from pilotkit import solvers
 from pilotkit.cli import SOLVERS
 from pilotkit.solvers import DEFAULT_BUDGET
 
-from conftest import make_system, small_random_system
+import reference
+from conftest import flat_system, make_system, small_random_system
 
 TRIANGLE_EDGES = [(0, 1), (0, 2), (1, 2)]
-
-
-def flat_system(k_users, tau):
-    """All-ones fading, one shared AP: every pair weighs the same."""
-    return make_system(np.ones((k_users, 1)), [(0,)] * k_users, tau=tau)
 
 
 class TestCounting:
@@ -188,6 +190,57 @@ class TestRandomFeasible:
         assert len(counts) == 6
         for key, c in counts.items():
             assert 1554 < c < 1779, (key, c)
+
+    def test_returns_when_tau_equals_k(self):
+        # 30!/30**30 ~ 1e-12 of the labelings are surjective: rejection
+        # alone never ends here.
+        s = generate_system(GenerationConfig(seed=1), 40, 30, 30)
+        assert sorted(random_feasible(s, 7).pilot_of) == list(range(30))
+
+    def test_draws_within_the_rejection_limit_are_unchanged(self):
+        for k, tau in [(10, 3), (8, 5), (6, 6)]:
+            s = flat_system(k, tau)
+            for seed in range(100):
+                ref = reference.random_feasible(k, tau, seed, draws=64)
+                if ref is not None:
+                    assert random_feasible(s, seed).pilot_of == ref
+
+    def test_uniform_with_exact_fallback(self):
+        # K = tau = 6: 720 surjections, 720/6**6 of the labelings, so 64
+        # draws all fail about 37% of the time and the exact sampler takes
+        # over. Both the fallback draws alone and all draws must spread
+        # evenly: a chi-square statistic over 720 cells stays near its 719
+        # degrees of freedom (standard deviation about 40).
+        s = flat_system(6, 6)
+        every, fallback = Counter(), Counter()
+        for seed in range(720 * 15):
+            pilots = random_feasible(s, seed).pilot_of
+            every[pilots] += 1
+            if reference.random_feasible(6, 6, seed, draws=64) is None:
+                fallback[pilots] += 1
+        assert len(every) == 720
+        assert 0.3 < fallback.total() / every.total() < 0.45
+        for counts in (every, fallback):
+            assert chi_square(counts, itertools.permutations(range(6))) < 900
+
+    def test_exact_sampler_alone_is_uniform(self):
+        # With no rejection draws every call samples exactly. K=5, tau=3
+        # (150 surjections, 149 degrees of freedom, standard deviation
+        # about 17) is where a sampler blind to completion counts, picking
+        # evenly among the viable pilots, would be skewed.
+        s = flat_system(5, 3)
+        with mock.patch.object(solvers, "_REJECTION_DRAWS", 0):
+            counts = Counter(random_feasible(s, seed).pilot_of for seed in range(150 * 40))
+        cells = [c for c in itertools.product(range(3), repeat=5) if len(set(c)) == 3]
+        assert len(counts) == 150
+        assert chi_square(counts, cells) < 250
+
+
+def chi_square(counts, cells):
+    """Pearson's statistic of the counts against an even spread over cells."""
+    cells = list(cells)
+    expected = counts.total() / len(cells)
+    return sum((counts[c] - expected) ** 2 / expected for c in cells)
 
 
 def coupled_pair_system():

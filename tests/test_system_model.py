@@ -15,6 +15,7 @@ from pilotkit import (
     PilotAssignment,
     WeightedGraph,
     compute_gamma_default,
+    contamination_objective,
     generate_system,
     interference_matrix,
     mkp_to_pa,
@@ -305,6 +306,14 @@ class TestExactBetaSquares:
         for arr in (exact_beta_squares(s), payload, interference_matrix(s, exact=True)):
             assert arr.dtype == object and not arr.flags.writeable
             assert all(type(x) is Fraction for x in arr.flat)
+
+    def test_int_payload_entries_become_fractions(self):
+        # user 0 served by AP 0, user 1 by AP 1: w(0, 1) = 1/1 + 1/3
+        s = make_system([[1.0, 1.0], [1.0, 3**0.5]], [(0,), (1,)], tau=1)
+        s = dataclasses.replace(s, beta_sq_exact=[[1, 1], [1, 3]])
+        assert all(type(x) is Fraction for x in s.beta_sq_exact.flat)
+        value = contamination_objective(s, PilotAssignment((0, 0), 1), exact=True)
+        assert type(value) is Fraction and value == Fraction(4, 3)
 
     def test_payload_shape_checked(self):
         s = mkp_to_pa(WeightedGraph(2, 1, {(0, 1): 1}), exact=True)
