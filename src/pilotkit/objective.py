@@ -17,11 +17,14 @@ Every consumer reads w from one K x K interference matrix, built once
 per system by ``interference_matrix``; ``pairwise_interference`` stays as
 the scalar definition it is checked against. All functions accept
 ``exact=True`` to run in rational arithmetic, used by the reduction
-verifier.
+verifier. Rational mode works on Python integers: each user's one-sided
+terms share one denominator, so the exact matrix normalises one
+Fraction per entry and the exact objective one per user.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -31,6 +34,7 @@ import numpy as np
 from .system_model import (
     CfMmimoSystem,
     PilotAssignment,
+    _integer_beta_squares,
     check_assignment,
     derived,
     exact_beta_squares,
@@ -96,22 +100,40 @@ def _interference_float(s: CfMmimoSystem) -> np.ndarray:
         idx = list(aps)
         ratios = np.ascontiguousarray(s.beta[:, idx]) / s.beta[k, idx]
         one_sided[k] = (ratios * ratios).sum(axis=1)
-    return _symmetrised(one_sided, 0.0)
+    w = one_sided + one_sided.T
+    np.fill_diagonal(w, 0.0)
+    w.setflags(write=False)
+    return w
+
+
+def _exact_rows(s: CfMmimoSystem) -> tuple[np.ndarray, tuple[int, ...]]:
+    # The one-sided terms in rational mode, on integers. With P the integer
+    # beta squares and L[k] = lcm(P[k, m] for m in A(k)), every term
+    # P[j, m] / P[k, m] of row k is a multiple of 1 / L[k], so
+    # one_sided[k, j] = N[k, j] / L[k] with N[k] = P[:, A(k)] @ (L[k] // P[k, A(k)]).
+    # Returns (N, L); N's diagonal is zero, as no user interferes with itself.
+    p = _integer_beta_squares(s)
+    n = np.empty((s.k_users, s.k_users), dtype=object)
+    lcms = []
+    for k, aps in enumerate(s.serving_sets):
+        idx = list(aps)
+        own = p[k, idx].tolist()
+        lk = math.lcm(*own)
+        n[k] = p[:, idx].dot(np.array([lk // x for x in own], dtype=object))
+        lcms.append(lk)
+    np.fill_diagonal(n, 0)
+    n.setflags(write=False)
+    return n, tuple(lcms)
 
 
 def _interference_exact(s: CfMmimoSystem) -> np.ndarray:
-    # The same rows in rational arithmetic, from the exact squares of beta.
-    bsq = exact_beta_squares(s)
-    one_sided = np.empty((s.k_users, s.k_users), dtype=object)
-    for k, aps in enumerate(s.serving_sets):
-        idx = list(aps)
-        one_sided[k] = (bsq[:, idx] / bsq[k, idx]).sum(axis=1)
-    return _symmetrised(one_sided, Fraction(0))
-
-
-def _symmetrised(one_sided: np.ndarray, zero: Weight) -> np.ndarray:
-    w = one_sided + one_sided.T
-    np.fill_diagonal(w, zero)
+    # W[k, j] = N[k, j] / L[k] + N[j, k] / L[j], normalised once.
+    n, lcms = derived(s, _exact_rows)
+    w = np.full((s.k_users, s.k_users), Fraction(0), dtype=object)
+    for k, lk in enumerate(lcms):
+        for j in range(k + 1, s.k_users):
+            lj = lcms[j]
+            w[k, j] = w[j, k] = Fraction(n[k, j] * lj + n[j, k] * lk, lk * lj)
     w.setflags(write=False)
     return w
 
@@ -139,26 +161,35 @@ def _co_pilot_pairs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(np.triu(labels[:, None] == labels[None, :], 1))
 
 
-def co_pilot_sum(w: np.ndarray, labels: np.ndarray) -> Weight:
-    """Sum of w[i, j] over co-pilot pairs i < j, for a W with zero diagonal.
+def co_pilot_sum(w: np.ndarray, labels: np.ndarray) -> float:
+    """Sum of w[i, j] over co-pilot pairs i < j, for a float W.
 
     The terms are added one at a time in lexicographic pair order (a
     cumulative sum, not numpy's pairwise reduction), so the value is the
-    same float a plain loop over the pairs produces. Returns a Python
-    float for a float W and a Fraction for an object array of Fractions.
+    same float a plain loop over the pairs produces.
     """
     values = w[_co_pilot_pairs(labels)]
-    # With no co-pilot pair the sum is a diagonal entry: zero, in W's type.
-    total = np.cumsum(values)[-1:] if values.size else w[0, :1]
-    return total.tolist()[0]
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def contamination_objective(
     s: CfMmimoSystem, a: PilotAssignment, exact: bool = False
 ) -> Weight:
-    """Total contamination of a feasible assignment (lower is better)."""
+    """Total contamination of a feasible assignment (lower is better).
+
+    A float, or with ``exact=True`` a Fraction: the sum over users k of
+    one-sided terms to k's co-pilots, one integer row sum over the common
+    denominator of k's terms per user.
+    """
     check_assignment(s, a)
-    return co_pilot_sum(interference_matrix(s, exact=exact), np.asarray(a.pilot_of))
+    labels = np.asarray(a.pilot_of)
+    if not exact:
+        return co_pilot_sum(interference_matrix(s), labels)
+    n, lcms = derived(s, _exact_rows)
+    same = labels[:, None] == labels[None, :]
+    return sum(
+        (Fraction(row[mask].sum(), lk) for row, mask, lk in zip(n, same, lcms)), Fraction(0)
+    )
 
 
 @dataclass(frozen=True)

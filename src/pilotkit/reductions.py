@@ -167,6 +167,8 @@ def mkp_to_pa(
     the contamination objective never reads them. With ``exact=True`` the
     exact rational values weight/2 of the squared off-diagonal entries
     ride along so downstream certificates avoid square-root rounding.
+    Raises ValueError on a weight too large for a float, which beta must
+    hold in either mode.
     """
     if n_dummy_aps < 0:
         raise ValueError("n_dummy_aps must be nonnegative")
@@ -175,7 +177,10 @@ def mkp_to_pa(
     beta = np.zeros((n, m))
     np.fill_diagonal(beta, 1.0)
     for (i, j), w in g.weights.items():
-        beta[i, j] = beta[j, i] = math.sqrt(float(w) / 2.0)
+        try:
+            beta[i, j] = beta[j, i] = math.sqrt(float(w) / 2.0)
+        except OverflowError:
+            raise ValueError(f"weight on edge ({i}, {j}) is beyond float range") from None
 
     bsq = None
     if exact:

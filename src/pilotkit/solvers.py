@@ -180,7 +180,8 @@ def _min_over_surjections(n: int, k: int, pairs, budget: int):
     Fraction; otherwise it is a float. Returns (best value, best labeling,
     surjections visited); the labeling is the lexicographically smallest
     optimum because candidates are enumerated in lexicographic order and
-    replaced only on strict improvement.
+    replaced only on strict improvement. Raises ValueError when the float
+    optimum is not finite (its sum overflowed), rather than certify it.
     """
     total = count_surjective_assignments(n, k)
     if total > budget:
@@ -203,14 +204,17 @@ def _min_over_surjections(n: int, k: int, pairs, budget: int):
         totals = np.zeros(labels.shape[1], dtype=float if floats else object)
         # One masked addition per pair, in pair order: each labeling's total
         # is the sequence of additions a scalar loop over the pairs makes.
-        for i, j, w in pairs:
-            np.add(totals, w, out=totals, where=labels[i] == labels[j])
+        with np.errstate(over="ignore"):  # an overflowed optimum is refused below
+            for i, j, w in pairs:
+                np.add(totals, w, out=totals, where=labels[i] == labels[j])
         b = int(np.argmin(totals))  # the block's first minimum
         if best_val is None or totals[b] < best_val:
             best_val = totals[b]
             best = tuple(labels[:, b].tolist())
         visited += labels.shape[1]
     value: Value = Fraction(best_val, denom) if rational else float(best_val)
+    if not value < math.inf:
+        raise ValueError(f"optimum {value} is not finite: the float weight sums overflow")
     return value, best, visited
 
 

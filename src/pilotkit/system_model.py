@@ -264,6 +264,30 @@ def exact_beta_squares(s: CfMmimoSystem) -> np.ndarray:
     return derived(s, _float_beta_squares)
 
 
+def _integer_beta_squares(s: CfMmimoSystem) -> np.ndarray:
+    """The exact values of beta**2 as Python ints, one scale per AP column.
+
+    Returns a K x M object array P with P[k, m] = beta[k, m]**2 * D_m,
+    where D_m is the least common denominator of column m. D_m cancels
+    from every ratio of two entries of one column, which is all rational
+    mode needs, so no Fraction is built. The values are those of
+    ``exact_beta_squares``: the payload's numerators and denominators
+    when present, otherwise each float's ``as_integer_ratio``, squared.
+    """
+    if s.beta_sq_exact is not None:
+        ratios = [[(x.numerator, x.denominator) for x in col] for col in s.beta_sq_exact.T]
+    else:
+        ratios = [
+            [(n * n, d * d) for n, d in map(float.as_integer_ratio, col)]
+            for col in s.beta.T.tolist()
+        ]
+    columns = []
+    for col in ratios:
+        denom = math.lcm(*(d for _, d in col))
+        columns.append([n * (denom // d) for n, d in col])
+    return np.array(columns, dtype=object).T
+
+
 @dataclass(frozen=True)
 class GenerationConfig:
     """Knobs for the synthetic-instance generator.

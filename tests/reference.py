@@ -7,7 +7,9 @@ weight from the scalar ``pairwise_interference``, so the differential
 tests compare the matrix code against an independent evaluation.
 ``min_over_surjections`` is the tuple-by-tuple enumeration the numpy
 block enumerator of the exact solvers replaced, and ``random_feasible``
-the plain rejection sampler.
+the plain rejection sampler. ``interference_exact`` and
+``co_pilot_sum_exact`` are rational mode on ``Fraction``s,
+which the integer row form replaced.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from pilotkit import PilotAssignment, pairwise_interference
+from pilotkit.system_model import exact_beta_squares
 
 
 def min_over_surjections(n, k, pairs):
@@ -181,3 +184,25 @@ def local_search_move(s, init, max_iters=10_000):
         labels, cur = trial, new
         moves += 1
     return PilotAssignment(tuple(labels), tau), moves, cur
+
+
+def interference_exact(s):
+    """The exact interference matrix, one Fraction division per term."""
+    bsq = exact_beta_squares(s)
+    one_sided = np.empty((s.k_users, s.k_users), dtype=object)
+    for k, aps in enumerate(s.serving_sets):
+        idx = list(aps)
+        one_sided[k] = (bsq[:, idx] / bsq[k, idx]).sum(axis=1)
+    w = one_sided + one_sided.T
+    np.fill_diagonal(w, Fraction(0))
+    return w
+
+
+def co_pilot_sum_exact(w, labels):
+    """The exact objective on W, one Fraction addition per co-pilot pair."""
+    total = Fraction(0)
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            if labels[i] == labels[j]:
+                total += w[i, j]
+    return total

@@ -13,8 +13,9 @@ from pilotkit.fileio import (
     read_graph,
     read_instance,
     write_graph,
+    write_instance,
 )
-from pilotkit import PilotAssignment, WeightedGraph, validate_system
+from pilotkit import PilotAssignment, WeightedGraph, mkp_to_pa, validate_system
 
 
 def run(*argv):
@@ -120,6 +121,14 @@ class TestReduce:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_weight_beyond_float_range_is_validation_failure(self, tmp_path, capsys):
+        gpath = tmp_path / "big.txt"
+        write_graph(gpath, WeightedGraph(3, 2, {(0, 1): 1, (1, 2): 10**400}))
+        out = tmp_path / "x.txt"
+        assert run("reduce", "mkp-to-pa", "--in", gpath, "--out", out) == 3
+        assert "edge (1, 2) is beyond float range" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_brute_on_triangle_reduction(self, tmp_path, capsys):
@@ -205,6 +214,15 @@ class TestSolve:
         assert code == 3
         assert "invalid system" in capsys.readouterr().err
 
+    def test_overflowed_brute_optimum_is_validation_failure(self, tmp_path, capsys):
+        g = WeightedGraph(3, 1, {(0, 1): 1e308, (1, 2): 1e308, (0, 2): 1e308})
+        inst = tmp_path / "inst.txt"
+        write_instance(inst, mkp_to_pa(g))
+        report = tmp_path / "r.csv"
+        assert run("solve", "--instance", inst, "--solver", "brute", "--out", report) == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_budget_refusal_exit_code(self, tmp_path, capsys):
         inst = gen_instance(tmp_path, users=8, aps=16)
         code = run("solve", "--instance", inst, "--solver", "brute",
@@ -260,6 +278,16 @@ class TestVerify:
         capsys.readouterr()
         assert run("verify", "--graph", gpath, "--partition", ppath, "--exact") == 0
         assert capsys.readouterr().out.startswith("PASS mode=rational")
+
+    @pytest.mark.parametrize("weight", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+    def test_graph_weight_beyond_float_range(self, tmp_path, capsys, weight):
+        gpath = tmp_path / "g.txt"
+        write_graph(gpath, WeightedGraph(3, 2, {(0, 1): 1, (1, 2): weight}))
+        ppath = tmp_path / "p.txt"
+        ppath.write_text("mkp-partition/1\nvertices 3\nparts 2\nassign 0 1 0\n")
+        for exact in ([], ["--exact"]):
+            assert run("verify", "--graph", gpath, "--partition", ppath, *exact) == 3
+            assert "edge (1, 2) is beyond float range" in capsys.readouterr().err
 
     def test_infeasible_assignment_file(self, tmp_path, capsys):
         inst = gen_instance(tmp_path)

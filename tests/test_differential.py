@@ -1,11 +1,13 @@
 """Differential tests: the matrix code against the loop references.
 
 The interference matrix is checked entry by entry against the scalar
-``pairwise_interference``; local search, worst-user, the uplink rate and
-the exact solvers' surjection enumerator against the loop versions in
+``pairwise_interference``; rational mode on integers (the exact matrix
+and objective), local search, worst-user, the uplink rate and the exact
+solvers' surjection enumerator against the Fraction and loop versions in
 ``reference.py``, which they replaced.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -18,6 +20,8 @@ from hypothesis import strategies as st
 
 from pilotkit import (
     GenerationConfig,
+    Partition,
+    PilotAssignment,
     WeightedGraph,
     brute_force_exact,
     coloring_to_mkp,
@@ -27,6 +31,8 @@ from pilotkit import (
     greedy_worst_user,
     interference_matrix,
     local_search_move,
+    mkp_objective,
+    mkp_to_pa,
     pairwise_interference,
     random_feasible,
     uplink_rate,
@@ -35,7 +41,7 @@ from pilotkit import solvers
 from pilotkit.objective import interference_pairs
 
 import reference
-from conftest import flat_system
+from conftest import flat_system, make_system
 
 REL = 1e-12
 
@@ -71,6 +77,65 @@ def test_interference_matrix_matches_pairwise_exact():
             for j in range(6):
                 if i != j:
                     assert w[i][j] == pairwise_interference(s, i, j, exact=True)
+
+
+def _assert_exact_matches_reference(s, seeds=(0, 1, 2)):
+    w = interference_matrix(s, exact=True)
+    ref = reference.interference_exact(s)
+    assert all(type(x) is Fraction for x in w.flat)
+    assert w.tolist() == ref.tolist()
+    for seed in seeds:
+        a = random_feasible(s, seed)
+        value = contamination_objective(s, a, exact=True)
+        assert type(value) is Fraction
+        assert value == reference.co_pilot_sum_exact(ref, a.pilot_of)
+
+
+@pytest.mark.parametrize("rule", ["energy:0.95", "energy:0.5", "top:1", "top:8"])
+@pytest.mark.parametrize("shape", [(1, 4, 1), (6, 16, 2), (12, 40, 3), (20, 64, 4)])
+def test_exact_rows_match_reference_on_systems(shape, rule):
+    for seed in (1, 2):
+        _assert_exact_matches_reference(_system(shape, seed, rule))
+
+
+@pytest.mark.parametrize("dummy_aps", [0, 3])
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("weight", ["int", "fraction", "float", "mixed"])
+def test_exact_rows_match_reference_on_reduced_graphs(weight, exact, dummy_aps):
+    for seed in range(6):
+        n = 3 + seed % 5
+        g = _graph(n, min(n, 2 + seed % 3), seed, GRAPH_WEIGHTS[weight])
+        _assert_exact_matches_reference(mkp_to_pa(g, n_dummy_aps=dummy_aps, exact=exact))
+
+
+def test_exact_rows_match_reference_on_edge_cases():
+    # an int payload, a single user, and graphs whose weights are all zero
+    s = make_system([[1.0, 1.0], [1.0, 3**0.5]], [(0,), (1,)], tau=1)
+    _assert_exact_matches_reference(dataclasses.replace(s, beta_sq_exact=[[1, 1], [1, 3]]))
+    _assert_exact_matches_reference(mkp_to_pa(WeightedGraph(1, 1, {}), exact=True))
+    for weights in ({}, {(0, 1): 0, (1, 3): Fraction(0), (2, 3): 0.0}):
+        for exact in (False, True):
+            s = mkp_to_pa(WeightedGraph(4, 2, weights), n_dummy_aps=2, exact=exact)
+            _assert_exact_matches_reference(s)
+            assert contamination_objective(s, PilotAssignment((0, 0, 1, 1), 2), exact=True) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 7), data=st.data())
+def test_exact_objective_replays_partition_objective(n, data):
+    k = data.draw(st.integers(1, n), label="k")
+    weight = st.one_of(
+        st.integers(0, 10**30), st.fractions(min_value=0, max_value=10**6, max_denominator=10**9)
+    )
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    weights = st.dictionaries(st.sampled_from(pairs), weight) if pairs else st.just({})
+    g = WeightedGraph(n, k, data.draw(weights, label="weights"))
+    extra = data.draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    labels = data.draw(st.permutations(list(range(k)) + extra), label="labels")
+    s = mkp_to_pa(g, n_dummy_aps=data.draw(st.integers(0, 2), label="dummy"), exact=True)
+    value = contamination_objective(s, PilotAssignment(labels, k), exact=True)
+    assert type(value) is Fraction
+    assert value == mkp_objective(g, Partition(labels, k))
 
 
 def test_matrices_are_memoised_and_read_only():

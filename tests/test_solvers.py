@@ -14,6 +14,7 @@ from pilotkit import (
     Partition,
     PilotAssignment,
     SolveReport,
+    WeightedGraph,
     brute_force_exact,
     brute_force_partition,
     coloring_to_mkp,
@@ -97,6 +98,14 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="invalid system.*beta\\[0, 0\\]"):
             brute_force_exact(s)
 
+    def test_overflowed_optimum_refused(self):
+        # every pair weight is finite, but their float sums are not
+        g = WeightedGraph(3, 1, {(0, 1): 1e308, (1, 2): 1e308, (0, 2): 1e308})
+        with pytest.raises(ValueError, match="not finite"):
+            brute_force_exact(mkp_to_pa(g))
+        # rational mode sums the same weights exactly
+        assert brute_force_exact(mkp_to_pa(g, exact=True), exact=True).objective == 3 * Fraction(1e308)
+
     def test_no_assignment_beats_reported_optimum(self):
         import itertools
 
@@ -123,6 +132,14 @@ class TestBruteForcePartition:
                 pa_opt = brute_force_exact(s).objective
                 mkp_opt = brute_force_partition(pa_to_mkp(s)).objective
                 assert mkp_opt == pytest.approx(pa_opt, rel=1e-12)
+
+    def test_overflowed_optimum_refused(self):
+        g = WeightedGraph(3, 1, {(0, 1): 1e308, (1, 2): 1e308, (0, 2): 1e308})
+        with pytest.raises(ValueError, match="not finite"):
+            brute_force_partition(g)
+        # a finite optimum still stands when other labelings overflow
+        g2 = WeightedGraph(3, 2, g.weights)
+        assert brute_force_partition(g2).objective == 1e308
 
     def test_budget_refusal(self):
         g = coloring_to_mkp(25, [(0, 1)], 2)
