@@ -18,6 +18,7 @@ from . import fileio
 from .objective import contamination_report
 from .reductions import (
     InvalidPartitionError,
+    _as_float,
     coloring_to_mkp,
     mkp_solution_to_pa,
     mkp_to_pa,
@@ -218,8 +219,8 @@ def cmd_verify(args) -> int:
         rep = verify_measure_equality(s, a, exact=args.exact, graph=g)
     status = "PASS" if rep.passed else "FAIL"
     print(
-        f"{status} mode={rep.mode} m_pa={float(rep.m_pa)!r} "
-        f"m_mkp={float(rep.m_mkp)!r} rel_diff={rep.rel_diff:.3e}"
+        f"{status} mode={rep.mode} m_pa={_as_float(rep.m_pa)!r} "
+        f"m_mkp={_as_float(rep.m_mkp)!r} rel_diff={rep.rel_diff:.3e}"
     )
     return EXIT_OK if rep.passed else EXIT_VALIDATION
 

@@ -14,17 +14,17 @@ partners, one side at a time) reaches the same total because each pair
 then contributes its two one-sided terms separately.
 
 Every consumer reads w from one K x K interference matrix, built once
-per system by ``interference_matrix``; ``pairwise_interference`` stays as
-the scalar definition it is checked against. All functions accept
-``exact=True`` to run in rational arithmetic, used by the reduction
-verifier. Rational mode works on Python integers: each user's one-sided
-terms share one denominator, so the exact matrix normalises one
-Fraction per entry and the exact objective one per user.
+per system by ``interference_matrix``; in float mode it is checked
+against the scalar definition ``pairwise_interference``. All functions
+accept ``exact=True`` to run in rational arithmetic, used by the
+reduction verifier. Rational mode works on Python integers: each user's
+one-sided terms share one denominator, so the memoised integer rows give
+the exact matrix (one Fraction per entry), objective (one per user) and
+scalar weight (two).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -35,9 +35,9 @@ from .system_model import (
     CfMmimoSystem,
     PilotAssignment,
     _integer_beta_squares,
+    _over_common_denominator,
     check_assignment,
     derived,
-    exact_beta_squares,
 )
 
 __all__ = [
@@ -67,11 +67,6 @@ def _one_sided(s: CfMmimoSystem, k: int, other: int) -> float:
     return float((ratios * ratios).sum())
 
 
-def _one_sided_exact(s: CfMmimoSystem, k: int, other: int) -> Fraction:
-    bsq = exact_beta_squares(s)
-    return sum((bsq[other, m] / bsq[k, m] for m in s.serving_sets[k]), Fraction(0))
-
-
 def pairwise_interference(
     s: CfMmimoSystem, k: int, k2: int, exact: bool = False
 ) -> Weight:
@@ -86,7 +81,8 @@ def pairwise_interference(
         if not 0 <= u < s.k_users:
             raise IndexError(f"user index {u} out of range [0, {s.k_users})")
     if exact:
-        return _one_sided_exact(s, k, k2) + _one_sided_exact(s, k2, k)
+        n, lcms = derived(s, _exact_rows)
+        return Fraction(n[k, k2], lcms[k]) + Fraction(n[k2, k], lcms[k2])
     return _one_sided(s, k, k2) + _one_sided(s, k2, k)
 
 
@@ -117,9 +113,8 @@ def _exact_rows(s: CfMmimoSystem) -> tuple[np.ndarray, tuple[int, ...]]:
     lcms = []
     for k, aps in enumerate(s.serving_sets):
         idx = list(aps)
-        own = p[k, idx].tolist()
-        lk = math.lcm(*own)
-        n[k] = p[:, idx].dot(np.array([lk // x for x in own], dtype=object))
+        scale, lk = _over_common_denominator((1, x) for x in p[k, idx].tolist())
+        n[k] = p[:, idx].dot(np.array(scale, dtype=object))
         lcms.append(lk)
     np.fill_diagonal(n, 0)
     n.setflags(write=False)

@@ -25,7 +25,13 @@ from typing import Iterable, Union
 import numpy as np
 
 from .objective import contamination_objective, interference_pairs
-from .system_model import CfMmimoSystem, PilotAssignment, _gamma_from_beta, _listed
+from .system_model import (
+    CfMmimoSystem,
+    PilotAssignment,
+    _gamma_from_beta,
+    _listed,
+    _over_common_denominator,
+)
 
 __all__ = [
     "InvalidPartitionError",
@@ -125,8 +131,8 @@ class Partition:
         return len(self.block_of)
 
 
-def mkp_objective(g: WeightedGraph, p: Partition) -> Weight:
-    """Total weight of edges with both endpoints in the same block."""
+def _co_block_weights(g: WeightedGraph, p: Partition) -> list[Weight]:
+    """Weights of the edges inside a block, in sorted edge order."""
     if p.n_vertices != g.n_vertices:
         raise ValueError(
             f"partition covers {p.n_vertices} vertices, graph has {g.n_vertices}"
@@ -136,11 +142,23 @@ def mkp_objective(g: WeightedGraph, p: Partition) -> Weight:
             f"block count mismatch: partition has {p.n_blocks}, graph wants {g.k_parts}"
         )
     blocks = p.block_of
+    return [g.weights[(i, j)] for (i, j) in sorted(g.weights) if blocks[i] == blocks[j]]
+
+
+def mkp_objective(g: WeightedGraph, p: Partition) -> Weight:
+    """Total weight of edges with both endpoints in the same block."""
     total: Weight = 0
-    for (i, j) in sorted(g.weights):
-        if blocks[i] == blocks[j]:
-            total += g.weights[(i, j)]
+    for w in _co_block_weights(g, p):
+        total += w
     return total
+
+
+def _as_float(x: Weight) -> float:
+    """float(x) for a nonnegative value, inf when it is beyond float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 def pa_to_mkp(s: CfMmimoSystem, exact: bool = False) -> WeightedGraph:
@@ -255,30 +273,32 @@ def verify_measure_equality(
     within DEFAULT_REL_TOL in float mode, exactly in rational mode, where a
     float weight counts at its exact value. ``graph`` overrides the
     reduction output, which lets callers probe corrupted reductions; by
-    default the graph is derived from the system.
+    default the graph is derived from the system. A value beyond float
+    range reports as inf in ``abs_diff`` (and prints so in the CLI).
     """
     if graph is None:
         graph = pa_to_mkp(s, exact=exact)
-    elif exact:
-        # Sum the exact values of float weights, as the system side sums
-        # the exact squares of beta.
-        exact_weights = {e: Fraction(w) for e, w in graph.weights.items()}
-        graph = WeightedGraph(graph.n_vertices, graph.k_parts, exact_weights)
     m_pa = contamination_objective(s, a, exact=exact)
-    m_mkp = mkp_objective(graph, pa_solution_to_mkp(a))
-    abs_diff = abs(float(m_pa) - float(m_mkp))
-    scale = max(abs(float(m_pa)), abs(float(m_mkp)))
-    rel_diff = abs_diff / scale if scale > 0 else 0.0
+    p = pa_solution_to_mkp(a)
     if exact:
-        passed = m_pa == m_mkp
+        # the exact values of the co-block weights, floats too, as integers
+        ints, denom = _over_common_denominator(
+            w.as_integer_ratio() if isinstance(w, float) else (int(w.numerator), int(w.denominator))
+            for w in _co_block_weights(graph, p)
+        )
+        m_mkp: Weight = Fraction(sum(ints), denom)
     else:
-        passed = rel_diff <= DEFAULT_REL_TOL
+        m_mkp = mkp_objective(graph, p)
+    # rational mode compares exact values, whose float() can overflow
+    x, y = (m_pa, m_mkp) if exact else (_as_float(m_pa), _as_float(m_mkp))
+    diff = abs(x - y)
+    rel_diff = float(diff / max(abs(x), abs(y))) if diff else 0.0
     return MeasureEqualityReport(
         m_pa=m_pa,
         m_mkp=m_mkp,
-        abs_diff=abs_diff,
+        abs_diff=_as_float(diff),
         rel_diff=rel_diff,
-        passed=passed,
+        passed=m_pa == m_mkp if exact else rel_diff <= DEFAULT_REL_TOL,
         mode="rational" if exact else "float",
     )
 

@@ -28,6 +28,7 @@ from .reductions import WeightedGraph, pa_to_mkp
 from .system_model import (
     CfMmimoSystem,
     PilotAssignment,
+    _over_common_denominator,
     check_assignment,
     system_throughput,
     uplink_rate,
@@ -190,10 +191,9 @@ def _min_over_surjections(n: int, k: int, pairs, budget: int):
         )
     pairs = [(i, j, w) for i, j, w in pairs if w != 0]
     rational = all(isinstance(w, (int, Fraction)) for _, _, w in pairs)
-    denom = 1
     if rational:
-        denom = math.lcm(*(Fraction(w).denominator for _, _, w in pairs))
-        pairs = [(i, j, int(Fraction(w) * denom)) for i, j, w in pairs]
+        ints, denom = _over_common_denominator((w.numerator, w.denominator) for *_, w in pairs)
+        pairs = [(i, j, w) for (i, j, _), w in zip(pairs, ints)]
     # float64 totals when every weight is a float; otherwise (integers, or
     # mixed types) Python objects, so each addition is Python's own.
     floats = not rational and all(isinstance(w, float) for _, _, w in pairs)

@@ -33,7 +33,6 @@ __all__ = [
     "uplink_rate",
     "system_throughput",
     "check_assignment",
-    "exact_beta_squares",
 ]
 
 # Reference path loss at d0 = 1 m for the synthetic channel model, in dB.
@@ -104,8 +103,8 @@ class CfMmimoSystem:
     carries exact rational values of beta**2 so that reduction
     certificates avoid square-root rounding; it is filled in by the
     graph-to-system construction in rational mode, stored as a read-only
-    K x M object array of Fractions (each entry converted with Fraction),
-    and ignored by the floating-point paths.
+    K x M object array of Fractions, ignored by the floating-point paths
+    and read by rational mode as ints (``_integer_beta_squares``).
     """
 
     m_aps: int
@@ -129,8 +128,10 @@ class CfMmimoSystem:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "eta", eta)
         if self.beta_sq_exact is not None:
-            exact = [[Fraction(x) for x in row] for row in self.beta_sq_exact]
-            object.__setattr__(self, "beta_sq_exact", _fraction_array(exact))
+            rows = [[Fraction(x) for x in row] for row in self.beta_sq_exact]
+            exact = np.array(rows, dtype=object)  # 1-D if ragged: the shape check reports it
+            exact.setflags(write=False)
+            object.__setattr__(self, "beta_sq_exact", exact)
         object.__setattr__(
             self,
             "serving_sets",
@@ -240,28 +241,13 @@ def derived(s: CfMmimoSystem, build):
     return value
 
 
-def _fraction_array(rows) -> np.ndarray:
-    """Rows of Fractions as a read-only object array (1-D if ragged)."""
-    arr = np.array(rows, dtype=object)
-    arr.setflags(write=False)
-    return arr
-
-
-def _float_beta_squares(s: CfMmimoSystem) -> np.ndarray:
-    return _fraction_array([[Fraction(float(b)) ** 2 for b in row] for row in s.beta])
-
-
-def exact_beta_squares(s: CfMmimoSystem) -> np.ndarray:
-    """Exact rational values of beta**2, a read-only K x M object array.
-
-    Prefers the symbolic payload installed by the rational-mode reduction;
-    otherwise converts each stored float bit-exactly (every finite float is
-    a rational), which keeps equality certificates exact even for systems
-    that only exist in floating point.
-    """
-    if s.beta_sq_exact is not None:
-        return s.beta_sq_exact
-    return derived(s, _float_beta_squares)
+def _over_common_denominator(ratios) -> tuple[list[int], int]:
+    """Exact values, given as (numerator, denominator) pairs, as ints over
+    their least common denominator D: ([n * (D // d), ...], D), D = 1 for
+    no values. Rational mode sums and divides these instead of Fractions."""
+    ratios = list(ratios)
+    denom = math.lcm(*(d for _, d in ratios))
+    return [n * (denom // d) for n, d in ratios], denom
 
 
 def _integer_beta_squares(s: CfMmimoSystem) -> np.ndarray:
@@ -270,9 +256,9 @@ def _integer_beta_squares(s: CfMmimoSystem) -> np.ndarray:
     Returns a K x M object array P with P[k, m] = beta[k, m]**2 * D_m,
     where D_m is the least common denominator of column m. D_m cancels
     from every ratio of two entries of one column, which is all rational
-    mode needs, so no Fraction is built. The values are those of
-    ``exact_beta_squares``: the payload's numerators and denominators
-    when present, otherwise each float's ``as_integer_ratio``, squared.
+    mode needs, so no Fraction is built. The values are the payload's
+    numerators and denominators when present, otherwise each float's
+    ``as_integer_ratio``, squared.
     """
     if s.beta_sq_exact is not None:
         ratios = [[(x.numerator, x.denominator) for x in col] for col in s.beta_sq_exact.T]
@@ -281,10 +267,7 @@ def _integer_beta_squares(s: CfMmimoSystem) -> np.ndarray:
             [(n * n, d * d) for n, d in map(float.as_integer_ratio, col)]
             for col in s.beta.T.tolist()
         ]
-    columns = []
-    for col in ratios:
-        denom = math.lcm(*(d for _, d in col))
-        columns.append([n * (denom // d) for n, d in col])
+    columns = [_over_common_denominator(col)[0] for col in ratios]
     return np.array(columns, dtype=object).T
 
 

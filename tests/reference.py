@@ -8,8 +8,10 @@ tests compare the matrix code against an independent evaluation.
 ``min_over_surjections`` is the tuple-by-tuple enumeration the numpy
 block enumerator of the exact solvers replaced, and ``random_feasible``
 the plain rejection sampler. ``interference_exact`` and
-``co_pilot_sum_exact`` are rational mode on ``Fraction``s,
-which the integer row form replaced.
+``co_pilot_sum_exact`` are rational mode on ``Fraction``s, built
+from the Fraction beta squares of ``exact_beta_squares``, which the
+integer row form replaced; they are the independent check of the exact
+matrix, the exact objective and the exact scalar weight.
 """
 
 import itertools
@@ -20,7 +22,6 @@ from fractions import Fraction
 import numpy as np
 
 from pilotkit import PilotAssignment, pairwise_interference
-from pilotkit.system_model import exact_beta_squares
 
 
 def min_over_surjections(n, k, pairs):
@@ -184,6 +185,14 @@ def local_search_move(s, init, max_iters=10_000):
         labels, cur = trial, new
         moves += 1
     return PilotAssignment(tuple(labels), tau), moves, cur
+
+
+def exact_beta_squares(s):
+    """Exact values of beta**2 as a K x M object array of Fractions: the
+    payload when the system carries one, else each float's exact square."""
+    if s.beta_sq_exact is not None:
+        return s.beta_sq_exact
+    return np.array([[Fraction(float(b)) ** 2 for b in row] for row in s.beta], dtype=object)
 
 
 def interference_exact(s):

@@ -289,6 +289,18 @@ class TestVerify:
             assert run("verify", "--graph", gpath, "--partition", ppath, *exact) == 3
             assert "edge (1, 2) is beyond float range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", [1e308, 10**308], ids=["float", "int"])
+    def test_block_sum_beyond_float_range(self, tmp_path, capsys, weight):
+        # every edge fits a float, the block sum does not
+        gpath = tmp_path / "g.txt"
+        write_graph(gpath, WeightedGraph(3, 1, {(0, 1): weight, (0, 2): weight, (1, 2): weight}))
+        ppath = tmp_path / "p.txt"
+        ppath.write_text("mkp-partition/1\nvertices 3\nparts 1\nassign 0 0 0\n")
+        assert run("verify", "--graph", gpath, "--partition", ppath, "--exact") == 0
+        assert capsys.readouterr().out.startswith("PASS mode=rational m_pa=inf m_mkp=inf ")
+        assert run("verify", "--graph", gpath, "--partition", ppath) == 3
+        assert capsys.readouterr().out.startswith("FAIL mode=float")
+
     def test_infeasible_assignment_file(self, tmp_path, capsys):
         inst = gen_instance(tmp_path)
         bad = tmp_path / "bad.txt"

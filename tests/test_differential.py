@@ -1,10 +1,12 @@
 """Differential tests: the matrix code against the loop references.
 
-The interference matrix is checked entry by entry against the scalar
-``pairwise_interference``; rational mode on integers (the exact matrix
-and objective), local search, worst-user, the uplink rate and the exact
-solvers' surjection enumerator against the Fraction and loop versions in
-``reference.py``, which they replaced.
+The float interference matrix is checked entry by entry against the
+scalar ``pairwise_interference``; rational mode on integers (the exact
+matrix, objective and scalar weight), local search, worst-user, the
+uplink rate and the exact solvers' surjection enumerator against the
+Fraction and loop versions in ``reference.py``, which they replaced; and
+the integer graph side of exact ``verify_measure_equality`` against
+``mkp_objective`` on Fraction weights.
 """
 
 import dataclasses
@@ -33,9 +35,11 @@ from pilotkit import (
     local_search_move,
     mkp_objective,
     mkp_to_pa,
+    pa_to_mkp,
     pairwise_interference,
     random_feasible,
     uplink_rate,
+    verify_measure_equality,
 )
 from pilotkit import solvers
 from pilotkit.objective import interference_pairs
@@ -69,14 +73,17 @@ def test_interference_matrix_matches_pairwise_float(rule):
 
 
 def test_interference_matrix_matches_pairwise_exact():
+    # The scalar exact weight reads the integer rows; the reference matrix
+    # divides Fraction beta squares, so the check stays independent.
     for seed in range(3):
         s = _system((6, 16, 2), seed, "top:8")
-        w = interference_matrix(s, exact=True)
+        w = reference.interference_exact(s)
         for i in range(6):
             assert w[i][i] == 0
             for j in range(6):
                 if i != j:
-                    assert w[i][j] == pairwise_interference(s, i, j, exact=True)
+                    value = pairwise_interference(s, i, j, exact=True)
+                    assert type(value) is Fraction and value == w[i][j]
 
 
 def _assert_exact_matches_reference(s, seeds=(0, 1, 2)):
@@ -263,3 +270,59 @@ def test_blocks_hold_every_surjection_once_in_order(n, data):
 def test_brute_force_visits_every_surjection_at_k9_tau8():
     s = _system((9, 32, 8), 1)
     assert brute_force_exact(s).iterations == 1_451_520
+
+
+def _fraction_graph_side(g, labels):
+    """The reference exact graph side: mkp_objective on the graph with every
+    weight passed through Fraction."""
+    exact = WeightedGraph(g.n_vertices, g.k_parts, {e: Fraction(w) for e, w in g.weights.items()})
+    return mkp_objective(exact, Partition(labels, g.k_parts))
+
+
+def _assert_graph_side_matches(s, a, graph, passes=True):
+    """The graph side of exact verify equals the Fraction sum, on a passed
+    graph and on the derived one; the certificate passes on the derived
+    graph, and on the passed one when ``passes``."""
+    for rep, g, want in (
+        (verify_measure_equality(s, a, exact=True, graph=graph), graph, passes),
+        (verify_measure_equality(s, a, exact=True), pa_to_mkp(s, exact=True), True),
+    ):
+        assert type(rep.m_mkp) is Fraction
+        assert rep.m_mkp == _fraction_graph_side(g, a.pilot_of)
+        assert rep.passed is want is (rep.m_pa == rep.m_mkp)
+
+
+GRAPH_SIDE_WEIGHTS = dict(GRAPH_WEIGHTS, int64=lambda r: np.int64(r.randint(0, 10**15)))
+
+
+@pytest.mark.parametrize("weight", sorted(GRAPH_SIDE_WEIGHTS))
+def test_exact_graph_side_matches_fraction_sum(weight):
+    # n from 2 to 7 with k from 1 to 4; seeds 6 and 7 have tau = K
+    for seed in range(8):
+        n = 2 + seed % 6
+        g = _graph(n, min(n, 1 + seed % 4), seed, GRAPH_SIDE_WEIGHTS[weight])
+        s = mkp_to_pa(g, exact=True)
+        for a_seed in range(3):
+            _assert_graph_side_matches(s, random_feasible(s, a_seed), g)
+
+
+def test_exact_graph_side_matches_fraction_sum_on_edge_cases():
+    zeros = {(0, 1): 0, (1, 3): Fraction(0), (2, 3): 0.0, (0, 2): np.int64(0)}
+    for g in (WeightedGraph(4, 2, {}), WeightedGraph(4, 2, zeros)):
+        _assert_graph_side_matches(mkp_to_pa(g, exact=True), PilotAssignment((0, 0, 1, 1), 2), g)
+    # tau = K: no edge inside a block, an exact zero on both sides
+    g = WeightedGraph(3, 3, {(0, 1): 1, (1, 2): 0.5, (0, 2): Fraction(1, 3)})
+    s, a = mkp_to_pa(g, exact=True), PilotAssignment((2, 0, 1), 3)
+    _assert_graph_side_matches(s, a, g)
+    assert verify_measure_equality(s, a, exact=True, graph=g).m_mkp == Fraction(0)
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 1), (6, 16, 2), (12, 40, 3), (8, 24, 8)])
+def test_exact_graph_side_matches_fraction_sum_on_systems(shape):
+    for seed in (1, 2):
+        s = _system(shape, seed)
+        for a_seed in range(3):
+            a = random_feasible(s, a_seed)
+            # the float graph's weights are rounded, so it fails exact verify
+            _assert_graph_side_matches(s, a, pa_to_mkp(s), passes=shape[2] == shape[0])
+            _assert_graph_side_matches(s, a, pa_to_mkp(s, exact=True))

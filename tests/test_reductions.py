@@ -270,6 +270,21 @@ class TestVerifyMeasureEquality:
         assert not rep.passed
         assert rep.abs_diff == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("weight", [1e308, 10**308], ids=["float", "int"])
+    def test_block_sum_beyond_float_range(self, weight):
+        # Every edge fits a float, the block sum does not: rational mode
+        # certifies it, float mode fails closed, neither raises.
+        g = WeightedGraph(3, 1, {(0, 1): weight, (0, 2): weight, (1, 2): weight})
+        a = PilotAssignment((0, 0, 0), 1)
+        rep = verify_measure_equality(mkp_to_pa(g, exact=True), a, exact=True, graph=g)
+        assert rep.passed and rep.m_pa == rep.m_mkp == 3 * Fraction(weight)
+        assert rep.abs_diff == rep.rel_diff == 0.0
+        assert not verify_measure_equality(mkp_to_pa(g), a, graph=g).passed
+        # a difference beyond float range reports as inf
+        zero = mkp_to_pa(WeightedGraph(3, 1, {}), exact=True)
+        rep = verify_measure_equality(zero, a, exact=True, graph=g)
+        assert not rep.passed and rep.abs_diff == math.inf and rep.rel_diff == 1.0
+
     def test_infeasible_assignment_rejected(self, unit_pair_system):
         with pytest.raises(InfeasibleAssignmentError):
             verify_measure_equality(unit_pair_system, PilotAssignment((0,), 1))

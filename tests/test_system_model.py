@@ -25,8 +25,9 @@ from pilotkit import (
 )
 from pilotkit.fileio import format_instance
 from pilotkit.solvers import random_feasible
-from pilotkit.system_model import exact_beta_squares
+from pilotkit.system_model import _integer_beta_squares, _over_common_denominator
 
+import reference
 from conftest import make_system, small_random_system
 
 # Hand-derived rate of the symmetric two-user system sharing a pilot:
@@ -290,20 +291,30 @@ class TestThroughput:
 
 class TestExactBetaSquares:
     def test_matches_float_bits(self):
-        s = small_random_system(seed=31)
-        bsq = exact_beta_squares(s)
-        assert bsq[0][0] == Fraction(float(s.beta[0, 0])) ** 2
+        # Each AP column of the integer squares is the exact squares (each
+        # float's, or the payload's) times the column's least denominator.
+        g = WeightedGraph(3, 2, {(0, 1): Fraction(1, 3), (1, 2): 2, (0, 2): 0.1})
+        for s in (small_random_system(seed=31), mkp_to_pa(g, n_dummy_aps=1, exact=True)):
+            exact = reference.exact_beta_squares(s)
+            ints = _integer_beta_squares(s)
+            assert ints.shape == exact.shape == (s.k_users, s.m_aps)
+            for col, want in zip(ints.T, exact.T):
+                denom = math.lcm(*(x.denominator for x in want))
+                assert [type(x) for x in col] == [int] * s.k_users
+                assert col.tolist() == [x * denom for x in want]
 
-    def test_cached_per_system(self):
-        s = small_random_system(seed=32)
-        assert exact_beta_squares(s) is exact_beta_squares(s)
+    def test_over_common_denominator(self):
+        ints, denom = _over_common_denominator([(1, 6), (3, 4), (5, 1), (0, 9)])
+        assert denom == 36 and ints == [6, 27, 180, 0]
+        assert _over_common_denominator([(1, 2), (1, 3), (1, 6)]) == ([3, 2, 1], 6)
+        assert _over_common_denominator([]) == ([], 1)
 
     def test_read_only_fraction_arrays(self):
         s = small_random_system(seed=33)
         g = WeightedGraph(3, 2, {(0, 1): Fraction(1, 3), (1, 2): 2})
         payload = mkp_to_pa(g, n_dummy_aps=1, exact=True).beta_sq_exact
         assert payload.shape == (3, 4) and payload[1, 0] == payload[0, 1] == Fraction(1, 6)
-        for arr in (exact_beta_squares(s), payload, interference_matrix(s, exact=True)):
+        for arr in (payload, interference_matrix(s, exact=True)):
             assert arr.dtype == object and not arr.flags.writeable
             assert all(type(x) is Fraction for x in arr.flat)
 
