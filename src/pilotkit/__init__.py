@@ -51,6 +51,7 @@ from .system_model import (
     generate_system,
     system_throughput,
     uplink_rate,
+    uplink_rates,
     validate_system,
 )
 
@@ -66,6 +67,7 @@ __all__ = [
     "generate_system",
     "compute_gamma_default",
     "uplink_rate",
+    "uplink_rates",
     "system_throughput",
     "ContaminationReport",
     "co_pilot_set",

@@ -40,7 +40,7 @@ from .system_model import (
     GenerationConfig,
     InfeasibleAssignmentError,
     generate_system,
-    uplink_rate,
+    uplink_rates,
     validate_system,
 )
 
@@ -181,10 +181,8 @@ def cmd_solve(args) -> int:
     for name in solvers:
         rep = SOLVERS[name](s, args.seed, args)
         rows.append(_report_row(args.instance, rep))
-        for k in range(s.k_users):
-            rate_rows.append(
-                [args.instance, name, str(k), repr(uplink_rate(s, rep.assignment, k))]
-            )
+        rates = uplink_rates(s, rep.assignment)
+        rate_rows += [[args.instance, name, str(k), repr(r)] for k, r in enumerate(rates)]
         if args.assignment_out:
             fileio.write_assignment(args.assignment_out, rep.assignment)
         if args.pairs_out:

@@ -161,10 +161,12 @@ def co_pilot_sum(w: np.ndarray, labels: np.ndarray) -> float:
 
     The terms are added one at a time in lexicographic pair order (a
     cumulative sum, not numpy's pairwise reduction), so the value is the
-    same float a plain loop over the pairs produces.
+    same float a plain loop over the pairs produces. A sum beyond float
+    range is inf, without a warning: callers refuse an infinite value.
     """
     values = w[_co_pilot_pairs(labels)]
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
+    with np.errstate(over="ignore"):
+        return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def contamination_objective(

@@ -32,6 +32,7 @@ from .system_model import (
     check_assignment,
     system_throughput,
     uplink_rate,
+    uplink_rates,
 )
 
 __all__ = [
@@ -89,22 +90,19 @@ class SolveReport:
     def of(
         cls, s: Optional[CfMmimoSystem], a: PilotAssignment, solver_name: str, t0: float,
         iterations: int = 0, certificate: str = "heuristic", exact: bool = False,
-        throughput: Optional[float] = None, objective: Optional[Value] = None,
+        objective: Optional[Value] = None,
     ) -> "SolveReport":
         """Score a on s and time the solve from t0, a perf_counter reading.
 
-        Every solver builds its report here. The objective is recomputed
-        (in rational arithmetic when exact) and the throughput is
-        recomputed unless the solver passes the one it already has. A
-        graph solve passes s=None and its objective instead.
+        Every solver builds its report here. The objective (in rational
+        arithmetic when exact) and the throughput are recomputed. A graph
+        solve passes s=None and its objective instead.
         """
         if s is not None:
             objective = contamination_objective(s, a, exact=exact)
-            if throughput is None:
-                throughput = system_throughput(s, a)
         return cls(
-            a, objective, throughput, solver_name, iterations,
-            time.perf_counter() - t0, certificate,
+            a, objective, None if s is None else system_throughput(s, a), solver_name,
+            iterations, time.perf_counter() - t0, certificate,
         )
 
 
@@ -313,10 +311,6 @@ def random_feasible(s: CfMmimoSystem, seed: int) -> PilotAssignment:
     return PilotAssignment(tuple(pilots), tau)
 
 
-def _all_rates(s: CfMmimoSystem, a: PilotAssignment) -> list[float]:
-    return [uplink_rate(s, a, k) for k in range(s.k_users)]
-
-
 def greedy_worst_user(
     s: CfMmimoSystem, init: PilotAssignment, max_rounds: int = 100
 ) -> SolveReport:
@@ -332,15 +326,14 @@ def greedy_worst_user(
     t0 = time.perf_counter()
     tau, k_users = s.tau_pilots, s.k_users
     current = init
-    rates = _all_rates(s, current)
+    rates = uplink_rates(s, current)
     accepted = 0
     while accepted < max_rounds:
         worst = min(range(k_users), key=lambda k: (rates[k], k))
-        group_size = sum(1 for p in current.pilot_of if p == current.pilot_of[worst])
-        if group_size < 2:
+        if current.pilot_of.count(current.pilot_of[worst]) < 2:
             break  # moving the worst user would empty its pilot
         best_rate = rates[worst]
-        best_pilot = None
+        best = None
         for p in range(tau):
             if p == current.pilot_of[worst]:
                 continue
@@ -349,20 +342,16 @@ def greedy_worst_user(
             cand_a = PilotAssignment(tuple(cand), tau)
             r = uplink_rate(s, cand_a, worst)
             if r > best_rate:
-                best_rate = r
-                best_pilot = p
-        if best_pilot is None:
+                best_rate, best = r, cand_a
+        if best is None:
             break
-        cand = list(current.pilot_of)
-        cand[worst] = best_pilot
-        cand_a = PilotAssignment(tuple(cand), tau)
-        cand_rates = _all_rates(s, cand_a)
+        cand_rates = uplink_rates(s, best)
         if min(cand_rates) > min(rates):
-            current, rates = cand_a, cand_rates
+            current, rates = best, cand_rates
             accepted += 1
         else:
             break
-    return SolveReport.of(s, current, "worst-user", t0, accepted, throughput=sum(rates))
+    return SolveReport.of(s, current, "worst-user", t0, accepted)
 
 
 def _dense_weights(g: WeightedGraph) -> np.ndarray:

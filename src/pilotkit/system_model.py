@@ -31,6 +31,7 @@ __all__ = [
     "generate_system",
     "compute_gamma_default",
     "uplink_rate",
+    "uplink_rates",
     "system_throughput",
     "check_assignment",
 ]
@@ -186,6 +187,13 @@ def validate_system(s: CfMmimoSystem) -> ValidationResult:
     if not np.isfinite(s.eta).all() or (s.eta < 0).any() or (s.eta > 1).any():
         v.append("eta entries must lie in [0, 1]")
 
+    exact = s.beta_sq_exact
+    if exact is not None and exact.shape != (s.k_users, s.m_aps):
+        v.append("exact beta-square payload has wrong shape")
+        exact = None
+    elif exact is not None and any(x < 0 for x in exact.flat):
+        v.append("exact beta-square payload contains negative entries")
+
     for k, aps in enumerate(s.serving_sets):
         if not aps:
             v.append(f"serving set of user {k} is empty")
@@ -195,9 +203,8 @@ def validate_system(s: CfMmimoSystem) -> ValidationResult:
                 v.append(f"serving set of user {k} references AP {m} out of range")
             elif s.beta[k, m] <= 0:
                 v.append(f"zero coefficient on serving link: beta[{k}, {m}] = {s.beta[k, m]}")
-
-    if s.beta_sq_exact is not None and s.beta_sq_exact.shape != (s.k_users, s.m_aps):
-        v.append("exact beta-square payload has wrong shape")
+            elif exact is not None and exact[k, m] == 0:
+                v.append(f"zero exact beta square on serving link ({k}, {m})")
 
     return ValidationResult(not v, tuple(v))
 
@@ -459,6 +466,19 @@ def _rate_terms(s: CfMmimoSystem) -> tuple[np.ndarray, ...]:
     return terms
 
 
+def _rates(s: CfMmimoSystem, labels: np.ndarray, users) -> list[float]:
+    """Rates of users (a slice, or a list of indices), in one masked pass."""
+    numerator, noncoherent, noise, coherent = derived(s, _rate_terms)
+    # Each row adds its co-pilot terms one at a time in user order, as a
+    # loop does; the others add +0.0, which changes no nonnegative sum.
+    same = labels[users, None] == labels
+    interference = np.cumsum(np.where(same, coherent[users], 0.0), axis=1)[:, -1] * s.rho_u
+    num, denom = numerator[users], interference + noncoherent[users] + noise[users]
+    sinr = np.divide(num, denom, out=np.zeros_like(num), where=num != 0.0)
+    prelog = (1.0 - s.tau_pilots / s.tau_c) / 2.0
+    return [prelog * math.log2(1.0 + x) for x in sinr.tolist()]
+
+
 def uplink_rate(s: CfMmimoSystem, a: PilotAssignment, k: int) -> float:
     """Uplink achievable rate of user k in bits/s/Hz.
 
@@ -472,18 +492,15 @@ def uplink_rate(s: CfMmimoSystem, a: PilotAssignment, k: int) -> float:
     check_assignment(s, a)
     if not 0 <= k < s.k_users:
         raise IndexError(f"user index {k} out of range [0, {s.k_users})")
-    numerator, noncoherent, noise, coherent = derived(s, _rate_terms)
-    if numerator[k] == 0.0:
-        return 0.0
-    labels = np.asarray(a.pilot_of)
-    # Co-pilot terms added one at a time in user order (a cumulative sum),
-    # as a loop over the co-pilot users adds them.
-    interference = np.cumsum(coherent[k, labels == labels[k]])[-1] * s.rho_u
-    sinr = numerator[k] / (interference + noncoherent[k] + noise[k])
-    prelog = (1.0 - s.tau_pilots / s.tau_c) / 2.0
-    return prelog * math.log2(1.0 + sinr)
+    return _rates(s, np.asarray(a.pilot_of), [k])[0]
+
+
+def uplink_rates(s: CfMmimoSystem, a: PilotAssignment) -> list[float]:
+    """Uplink rates of all users in user order, in one masked pass."""
+    check_assignment(s, a)
+    return _rates(s, np.asarray(a.pilot_of), slice(None))
 
 
 def system_throughput(s: CfMmimoSystem, a: PilotAssignment) -> float:
     """Sum of the uplink rates of all users."""
-    return sum(uplink_rate(s, a, k) for k in range(s.k_users))
+    return sum(uplink_rates(s, a))

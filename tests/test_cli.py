@@ -1,9 +1,14 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pilotkit
 from pilotkit import contamination_objective, graphs_equal
 from pilotkit.cli import SOLVER_NAMES, main
 from pilotkit.fileio import (
@@ -300,6 +305,22 @@ class TestVerify:
         assert capsys.readouterr().out.startswith("PASS mode=rational m_pa=inf m_mkp=inf ")
         assert run("verify", "--graph", gpath, "--partition", ppath) == 3
         assert capsys.readouterr().out.startswith("FAIL mode=float")
+
+    def test_block_sum_beyond_float_range_prints_no_warning(self, tmp_path):
+        # in a fresh interpreter, so numpy's warnings would reach stderr
+        gpath = tmp_path / "g.txt"
+        write_graph(gpath, WeightedGraph(3, 1, {(0, 1): 1e308, (0, 2): 1e308, (1, 2): 1e308}))
+        ppath = tmp_path / "p.txt"
+        ppath.write_text("mkp-partition/1\nvertices 3\nparts 1\nassign 0 0 0\n")
+        path = [str(Path(pilotkit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "pilotkit.cli", "verify",
+             "--graph", str(gpath), "--partition", str(ppath)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3 and proc.stdout.startswith("FAIL mode=float")
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
     def test_infeasible_assignment_file(self, tmp_path, capsys):
         inst = gen_instance(tmp_path)

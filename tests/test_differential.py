@@ -4,14 +4,16 @@ The float interference matrix is checked entry by entry against the
 scalar ``pairwise_interference``; rational mode on integers (the exact
 matrix, objective and scalar weight), local search, worst-user, the
 uplink rate and the exact solvers' surjection enumerator against the
-Fraction and loop versions in ``reference.py``, which they replaced; and
-the integer graph side of exact ``verify_measure_equality`` against
-``mkp_objective`` on Fraction weights.
+Fraction and loop versions in ``reference.py``, which they replaced; the
+one-pass ``uplink_rates`` against ``uplink_rate`` user by user, bit for
+bit; and the integer graph side of exact ``verify_measure_equality``
+against ``mkp_objective`` on Fraction weights.
 """
 
 import dataclasses
 import math
 import random
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -38,7 +40,9 @@ from pilotkit import (
     pa_to_mkp,
     pairwise_interference,
     random_feasible,
+    system_throughput,
     uplink_rate,
+    uplink_rates,
     verify_measure_equality,
 )
 from pilotkit import solvers
@@ -182,6 +186,57 @@ def test_uplink_rate_matches_reference(shape, seed):
     a = random_feasible(s, seed)
     for k in range(s.k_users):
         assert math.isclose(uplink_rate(s, a, k), reference.uplink_rate(s, a, k), rel_tol=REL)
+
+
+def _rate_edge_system(edge):
+    """A (K, M) = (8, 24) system with one edge of the rate kernel."""
+    tau = {"tau-1": 1, "tau-K": 8}.get(edge, 3)
+    s = _system((8, 24, tau), 5)
+    if edge == "eta-zero":
+        eta = s.eta.copy()
+        eta[2] = 0.0
+        s = dataclasses.replace(s, eta=eta)
+    elif edge == "gamma-zero":  # zero numerator over a zero denominator
+        gamma = s.gamma.copy()
+        gamma[4] = 0.0
+        s = dataclasses.replace(s, gamma=gamma)
+    return s
+
+
+RATE_EDGES = ["eta-zero", "gamma-zero", "tau-1", "tau-K"]
+
+
+@pytest.mark.parametrize("case", CASES + RATE_EDGES)
+def test_uplink_rates_are_the_per_user_rates(case):
+    s, seed = (_rate_edge_system(case), 5) if case in RATE_EDGES else (_system(*case), case[1])
+    for a in (random_feasible(s, seed), random_feasible(s, seed + 1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates = uplink_rates(s, a)
+            one_by_one = [uplink_rate(s, a, k) for k in range(s.k_users)]
+        assert all(type(r) is float for r in rates + one_by_one)
+        assert [r.hex() for r in rates] == [r.hex() for r in one_by_one]
+        for k, r in enumerate(rates):
+            assert math.isclose(r, reference.uplink_rate(s, a, k), rel_tol=REL)
+        assert system_throughput(s, a) == sum(rates)
+
+
+def test_uplink_rates_zero_for_silent_users():
+    for edge, user in (("eta-zero", 2), ("gamma-zero", 4)):
+        s = _rate_edge_system(edge)
+        rates = uplink_rates(s, random_feasible(s, 5))
+        assert rates[user] == 0.0 and min(rates[:user] + rates[user + 1:]) > 0.0
+
+
+@pytest.mark.parametrize("edge", RATE_EDGES)
+def test_worst_user_matches_reference_on_edge_systems(edge):
+    s = _rate_edge_system(edge)
+    init = random_feasible(s, 5)
+    report = greedy_worst_user(s, init)
+    labels, rounds, rates = reference.greedy_worst_user(s, init)
+    assert report.assignment == labels
+    assert report.iterations == rounds
+    assert math.isclose(report.throughput, sum(rates), rel_tol=REL)
 
 
 # (K, M, tau) of the enumerator comparisons: ordinary shapes, then the

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -284,6 +285,17 @@ class TestVerifyMeasureEquality:
         zero = mkp_to_pa(WeightedGraph(3, 1, {}), exact=True)
         rep = verify_measure_equality(zero, a, exact=True, graph=g)
         assert not rep.passed and rep.abs_diff == math.inf and rep.rel_diff == 1.0
+
+    def test_float_sum_beyond_float_range_warns_nothing(self):
+        # The float objective overflows to inf without a numpy warning, and
+        # float mode still fails closed on it.
+        g = WeightedGraph(3, 1, {(0, 1): 1e308, (0, 2): 1e308, (1, 2): 1e308})
+        s, a = mkp_to_pa(g), PilotAssignment((0, 0, 0), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert contamination_objective(s, a) == math.inf
+            rep = verify_measure_equality(s, a, graph=g)
+        assert not rep.passed and rep.m_pa == math.inf
 
     def test_infeasible_assignment_rejected(self, unit_pair_system):
         with pytest.raises(InfeasibleAssignmentError):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -19,8 +20,11 @@ from pilotkit import (
     generate_system,
     interference_matrix,
     mkp_to_pa,
+    brute_force_exact,
+    decide,
     system_throughput,
     uplink_rate,
+    uplink_rates,
     validate_system,
 )
 from pilotkit.fileio import format_instance
@@ -217,6 +221,8 @@ class TestUplinkRate:
         assert uplink_rate(rate_example_system, a, 1) == pytest.approx(
             RATE_EXAMPLE, rel=1e-12
         )
+        rates = uplink_rates(rate_example_system, a)
+        assert rates[:2] == [pytest.approx(RATE_EXAMPLE, rel=1e-12)] * 2
 
     def test_contamination_free_matches_direct_formula(self, rate_example_system):
         # user 2 is alone on its pilot: coherent term vanishes
@@ -252,6 +258,10 @@ class TestUplinkRate:
         a = PilotAssignment((0, 1), 2)
         with pytest.raises(InfeasibleAssignmentError):
             uplink_rate(rate_example_system, a, 0)
+        with pytest.raises(InfeasibleAssignmentError):
+            uplink_rate(rate_example_system, a, 3)  # the assignment is checked first
+        with pytest.raises(InfeasibleAssignmentError):
+            uplink_rates(rate_example_system, a)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), moved=st.integers(0, 4), target=st.integers(0, 4))
@@ -330,3 +340,36 @@ class TestExactBetaSquares:
         s = mkp_to_pa(WeightedGraph(2, 1, {(0, 1): 1}), exact=True)
         bad = dataclasses.replace(s, beta_sq_exact=[[Fraction(1)], [Fraction(1), Fraction(0)]])
         assert "exact beta-square payload has wrong shape" in validate_system(bad).violations
+
+    @pytest.mark.parametrize(
+        "payload, violation",
+        [
+            ([[1, -1 / 4], [1 / 4, 1]], "exact beta-square payload contains negative entries"),
+            ([[0, 1 / 4], [1 / 4, 1]], "zero exact beta square on serving link (0, 0)"),
+        ],
+        ids=["negative", "zero-serving"],
+    )
+    def test_payload_values_checked(self, payload, violation):
+        # A valid two-user, one-pilot system whose float objective is 0.5:
+        # a negative payload entry would certify 0, a zero on a serving
+        # link would divide by zero. Both are invalid systems.
+        s = make_system([[1.0, 0.5], [0.5, 1.0]], [(0,), (1,)], tau=1)
+        a = PilotAssignment((0, 0), 1)
+        assert contamination_objective(s, a) == 0.5
+        bad = dataclasses.replace(s, beta_sq_exact=payload)
+        assert validate_system(bad).violations == (violation,)
+        for call in (
+            lambda: brute_force_exact(bad, exact=True),
+            lambda: decide(bad, 0),
+            lambda: contamination_objective(bad, a, exact=True),
+        ):
+            with pytest.raises(ValueError, match="invalid system: " + re.escape(violation)):
+                call()
+
+    def test_reduction_payloads_stay_valid(self):
+        # zero entries off the serving links (absent edges, dummy APs) are fine
+        g = WeightedGraph(4, 2, {(0, 1): Fraction(1, 3), (2, 3): 2})
+        s = mkp_to_pa(g, n_dummy_aps=2, exact=True)
+        assert any(x == 0 for x in s.beta_sq_exact.flat)
+        assert validate_system(s).ok
+        assert brute_force_exact(s, exact=True).objective == 0
