@@ -363,6 +363,21 @@ def _dense_weights(g: WeightedGraph) -> np.ndarray:
     return w
 
 
+def _up(x: float) -> float:
+    """The next float above x, a bound on any real that rounds to x."""
+    return math.nextafter(x, math.inf)
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u = 2**-53, rounded up.
+
+    A float sum of at most n + 1 nonnegative terms, added in any order,
+    is within gamma_n of its exact value, relatively (Higham, Accuracy
+    and Stability of Numerical Algorithms, section 4.2).
+    """
+    return _up(float(Fraction(n, 2**53 - n)))
+
+
 def local_search_move(
     s: CfMmimoSystem, init: PilotAssignment, max_iters: int = 10_000
 ) -> SolveReport:
@@ -373,6 +388,14 @@ def local_search_move(
     change (ties: lowest user, then lowest pilot), and stops at a local
     optimum or after max_iters moves. The objective never increases. The
     search is deterministic.
+
+    A move is applied only if the objective, re-summed in pair order, is
+    lower after it (a float guard: the move's change comes from sums in
+    another order). That guard is evaluated only when the change is
+    within the rounding bound of the two sums and of the change itself;
+    outside it the guard provably passes. So the search makes the moves,
+    stops and tie-breaks of one that re-sums after every move, and the
+    objective is summed once on most runs.
     """
     check_assignment(s, init)
     t0 = time.perf_counter()
@@ -383,28 +406,47 @@ def local_search_move(
     on_pilot = np.zeros((k_users, tau))
     on_pilot[users, labels] = 1.0
     group = np.bincount(labels, minlength=tau)
-    cur = co_pilot_sum(w, labels)
+    # Rounding bounds, each rounded up: g_sum for an objective sum, g_move
+    # for a move's change (two row sums and their difference), and hi an
+    # upper bound on the exact objective of labels.
+    g_sum, g_move = _gamma(k_users * (k_users - 1) // 2), _gamma(k_users + 2)
+    above = _up(1.0 + 2.0 * g_sum)  # exact <= computed * above
+    cur = co_pilot_sum(w, labels)  # None once stale: labels moved unguarded
+    hi = _up(cur * above)
     moves = 0
     while moves < max_iters:
         # gain[k, p]: total weight between k and the users on pilot p, so
         # moving k to p changes the objective by gain[k, p] - gain[k, own].
-        gain = w @ on_pilot
-        delta = gain - gain[users, labels][:, None]
+        # An overflowed gain gives an inf or nan change, which ends the search.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gain = w @ on_pilot
+            delta = gain - gain[users, labels][:, None]
         delta[users, labels] = np.inf
         delta[group[labels] < 2] = np.inf  # moving k would empty its pilot
         k, p = divmod(int(np.argmin(delta)), tau)  # first minimum in (k, p) order
-        if not delta[k, p] < 0.0:
+        d = float(delta[k, p])
+        if not d < 0.0:
             break
+        # The exact change is within e_d of d, and each objective sum within
+        # g_sum of its exact value; below -band the re-summed objective drops.
+        e_d = _up(g_move * _up(float(gain[k, p]) + float(gain[k, labels[k]])))
+        band = _up(e_d + _up(g_sum * _up(2.0 * hi + e_d)))
         trial = labels.copy()
         trial[k] = p
-        new = co_pilot_sum(w, trial)
-        if new >= cur:  # float re-association guard; keeps descent strict
-            break
+        if d < -band:
+            cur, hi = None, _up(hi + _up(d + e_d))
+        else:
+            if cur is None:
+                cur = co_pilot_sum(w, labels)
+            new = co_pilot_sum(w, trial)
+            if new >= cur:  # float re-association guard; keeps descent strict
+                break
+            cur, hi = new, _up(new * above)
         on_pilot[k, labels[k]] = 0.0
         on_pilot[k, p] = 1.0
         group[labels[k]] -= 1
         group[p] += 1
-        labels, cur = trial, new
+        labels = trial
         moves += 1
 
     final = PilotAssignment(tuple(labels.tolist()), tau)

@@ -63,21 +63,21 @@ class PilotAssignment:
     n_pilots: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pilot_of", tuple(int(p) for p in self.pilot_of))
+        pilots = tuple(map(int, self.pilot_of))
+        object.__setattr__(self, "pilot_of", pilots)
         if self.n_pilots < 1:
             raise InfeasibleAssignmentError("need at least one pilot")
-        if self.n_pilots > len(self.pilot_of):
+        if self.n_pilots > len(pilots):
             raise InfeasibleAssignmentError(
                 f"assignment is not surjective: {self.n_pilots} pilots "
-                f"for {len(self.pilot_of)} users"
+                f"for {len(pilots)} users"
             )
-        used = set()
-        for p in self.pilot_of:
-            if not 0 <= p < self.n_pilots:
-                raise InfeasibleAssignmentError(
-                    f"pilot index {p} out of range [0, {self.n_pilots})"
-                )
-            used.add(p)
+        if not 0 <= min(pilots) <= max(pilots) < self.n_pilots:
+            bad = next(p for p in pilots if not 0 <= p < self.n_pilots)
+            raise InfeasibleAssignmentError(
+                f"pilot index {bad} out of range [0, {self.n_pilots})"
+            )
+        used = set(pilots)
         if len(used) != self.n_pilots:
             missing = sorted(set(range(self.n_pilots)) - used)
             raise InfeasibleAssignmentError(
@@ -129,7 +129,11 @@ class CfMmimoSystem:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "eta", eta)
         if self.beta_sq_exact is not None:
-            rows = [[Fraction(x) for x in row] for row in self.beta_sq_exact]
+            # with int parts: a numpy integer inside a Fraction overflows
+            rows = [
+                [Fraction(int(x.numerator), int(x.denominator)) for x in map(Fraction, row)]
+                for row in self.beta_sq_exact
+            ]
             exact = np.array(rows, dtype=object)  # 1-D if ragged: the shape check reports it
             exact.setflags(write=False)
             object.__setattr__(self, "beta_sq_exact", exact)
@@ -144,6 +148,24 @@ class CfMmimoSystem:
 class ValidationResult:
     ok: bool
     violations: tuple[str, ...]
+
+
+def _payload_mismatches(beta: np.ndarray, exact: np.ndarray) -> list[tuple[int, int]]:
+    """(k, m) of every exact payload entry x that is not beta[k, m]**2.
+
+    beta holds a rounded square root of a rounded x, and a tiny x may
+    underflow, so x passes within 2**-50 relative (a few ulps) plus
+    2**-1072 (a few subnormal spacings). The test is exact, on integers:
+    with beta = p / q and x = n / d, |p^2 / q^2 - n / d| <= n / (d 2^50)
+    + 2^-1072, multiplied through by d q^2 2^1072.
+    """
+    wrong = []
+    for (k, m), x in np.ndenumerate(exact):
+        p, q = beta[k, m].as_integer_ratio()
+        n, d = x.numerator, x.denominator
+        if abs(p * p * d - n * q * q) << 1072 > (n * q * q << 1022) + d * q * q:
+            wrong.append((k, m))
+    return wrong
 
 
 def validate_system(s: CfMmimoSystem) -> ValidationResult:
@@ -193,6 +215,13 @@ def validate_system(s: CfMmimoSystem) -> ValidationResult:
         exact = None
     elif exact is not None and any(x < 0 for x in exact.flat):
         v.append("exact beta-square payload contains negative entries")
+    elif exact is not None and np.isfinite(s.beta).all():
+        wrong = [
+            (k, m) for k, m in _payload_mismatches(s.beta, exact)
+            if not (exact[k, m] == 0 and m in s.serving_sets[k])  # reported below
+        ]
+        if wrong:
+            v.append(f"exact beta-square payload is not beta**2 at {_listed(wrong)}")
 
     for k, aps in enumerate(s.serving_sets):
         if not aps:

@@ -27,6 +27,16 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def run_fresh(*argv):
+    """The CLI in a fresh interpreter that shows every warning on stderr."""
+    path = [str(Path(pilotkit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, "-W", "default", "-m", "pilotkit.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def gen_instance(tmp_path, name="inst.txt", **overrides):
     path = tmp_path / name
     args = {
@@ -228,6 +238,16 @@ class TestSolve:
         assert "not finite" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_overflowed_local_search_prints_no_warning(self, tmp_path):
+        weights = {(0, 1): 1e308, (0, 2): 1e308, (0, 3): 1e308, (1, 2): 1e308, (1, 3): 1e308}
+        inst = tmp_path / "inst.txt"
+        write_instance(inst, mkp_to_pa(WeightedGraph(4, 2, {**weights, (2, 3): 1.0})))
+        proc = run_fresh(
+            "solve", "--instance", inst, "--solver", "local-search", "--out", tmp_path / "r.csv"
+        )
+        assert proc.returncode == 0 and "objective=inf" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
+
     def test_budget_refusal_exit_code(self, tmp_path, capsys):
         inst = gen_instance(tmp_path, users=8, aps=16)
         code = run("solve", "--instance", inst, "--solver", "brute",
@@ -312,13 +332,7 @@ class TestVerify:
         write_graph(gpath, WeightedGraph(3, 1, {(0, 1): 1e308, (0, 2): 1e308, (1, 2): 1e308}))
         ppath = tmp_path / "p.txt"
         ppath.write_text("mkp-partition/1\nvertices 3\nparts 1\nassign 0 0 0\n")
-        path = [str(Path(pilotkit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        proc = subprocess.run(
-            [sys.executable, "-W", "default", "-m", "pilotkit.cli", "verify",
-             "--graph", str(gpath), "--partition", str(ppath)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_fresh("verify", "--graph", gpath, "--partition", ppath)
         assert proc.returncode == 3 and proc.stdout.startswith("FAIL mode=float")
         assert "RuntimeWarning" not in proc.stderr, proc.stderr
 

@@ -168,6 +168,26 @@ def test_local_search_matches_reference(shape, seed):
     assert math.isclose(report.objective, objective, rel_tol=REL)
 
 
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(3, 14), tau=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_local_search_matches_reference_on_wide_weights(n, tau, seed):
+    # Weights from 1e-8 to 1e8: each user is heavy (exponent 7.5 to 8) or
+    # light (-7.5 to -7), and a pair weighs a little less than its lighter
+    # user's scale. A light user's moves then change an objective of heavy
+    # pairs by about its rounding, so the guard is evaluated, and often
+    # stops the search, on many examples.
+    rng = np.random.default_rng(seed)
+    exponent = np.where(rng.random(n) < 0.5, rng.uniform(7.5, 8, n), rng.uniform(-7.5, -7, n))
+    ii, jj = np.triu_indices(n, 1)
+    weights = 10.0 ** (np.minimum(exponent[ii], exponent[jj]) - rng.uniform(0, 0.5, ii.size))
+    g = WeightedGraph(n, min(n, tau), dict(zip(zip(ii.tolist(), jj.tolist()), weights.tolist())))
+    s = mkp_to_pa(g)
+    init = random_feasible(s, seed)
+    report = local_search_move(s, init)
+    labels, moves, objective = reference.local_search_move(s, init)
+    assert (report.assignment, report.iterations, report.objective) == (labels, moves, objective)
+
+
 @pytest.mark.parametrize("shape, seed", CASES)
 def test_worst_user_matches_reference(shape, seed):
     s = _system(shape, seed)

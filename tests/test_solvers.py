@@ -1,6 +1,8 @@
 import argparse
 import itertools
+import math
 import random
+import warnings
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -356,6 +358,51 @@ class TestLocalSearch:
         init = random_feasible(s, 3)
         report = local_search_move(s, init, max_iters=0)
         assert report.assignment == init
+
+
+class TestLocalSearchGuard:
+    def test_guard_fires_on_a_move_the_objective_cannot_show(self):
+        # From pilots {0, 1, 3, 4} and {2}, moving user 4 away saves 0.5.
+        # Then moving user 3 changes the objective by 1e-20 - 3e-20, a
+        # negative delta, but the objective is 1 plus tiny terms, the same
+        # float before and after: the float guard stops the search there.
+        weights = {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 2.0, (0, 4): 0.5, (0, 3): 3e-20, (2, 3): 1e-20}
+        s = mkp_to_pa(WeightedGraph(5, 2, weights))
+        init = PilotAssignment((0, 0, 1, 0, 0), 2)
+        with mock.patch.object(solvers, "co_pilot_sum", side_effect=solvers.co_pilot_sum) as spy:
+            report = local_search_move(s, init)
+        assert report.assignment.pilot_of == (0, 0, 1, 0, 1)
+        assert report.iterations == 1
+        # the stopping move: negative gain, yet not lower when re-summed
+        w = solvers._dense_weights(pa_to_mkp(s))
+        assert w[3, 2] - w[3, 0] - w[3, 1] - w[3, 4] < 0
+        moved = PilotAssignment((0, 0, 1, 1, 1), 2)
+        assert contamination_objective(s, moved) == report.objective
+        # one sum to start; the guard re-sums the current and the trial labels
+        assert spy.call_count == 3
+        labels, moves, objective = reference.local_search_move(s, init)
+        assert (report.assignment, report.iterations, report.objective) == (labels, moves, objective)
+
+    @pytest.mark.parametrize("shape", [(50, 100, 5), (100, 200, 8), (200, 400, 10)])
+    def test_objective_summed_once_on_generated_systems(self, shape):
+        k, m, tau = shape
+        for seed in (1, 2):
+            s = generate_system(GenerationConfig(seed=seed), m, k, tau)
+            with mock.patch.object(solvers, "co_pilot_sum", side_effect=solvers.co_pilot_sum) as spy:
+                report = local_search_move(s, random_feasible(s, seed))
+            assert report.iterations > 0
+            assert spy.call_count == 1
+
+    def test_overflowed_gains_stop_the_search_silently(self):
+        # every gain of user 0 overflows: its change is nan, which is not < 0
+        weights = {(0, 1): 1e308, (0, 2): 1e308, (0, 3): 1e308, (1, 2): 1e308, (1, 3): 1e308}
+        s = mkp_to_pa(WeightedGraph(4, 2, {**weights, (2, 3): 1.0}))
+        init = PilotAssignment((0, 0, 0, 1), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = local_search_move(s, init)
+        assert report.assignment == init and report.iterations == 0
+        assert report.objective == math.inf
 
 
 class TestReportContract:

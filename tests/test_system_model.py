@@ -52,6 +52,22 @@ class TestPilotAssignment:
         with pytest.raises(InfeasibleAssignmentError, match="out of range"):
             PilotAssignment((0, 2), 2)
 
+    def test_first_out_of_range_pilot_named(self):
+        for pilots in [(0, 1, 7, -1, 9), (0, -1, 1, 7)]:
+            with pytest.raises(InfeasibleAssignmentError) as exc:
+                PilotAssignment(pilots, 3)
+            bad = next(p for p in pilots if not 0 <= p < 3)
+            assert str(exc.value) == f"pilot index {bad} out of range [0, 3)"
+
+    def test_numpy_integers_become_ints(self):
+        a = PilotAssignment(np.array([0, 2, 1, 1], dtype=np.int64), 3)
+        assert a.pilot_of == (0, 2, 1, 1)
+        assert [type(p) for p in a.pilot_of] == [int] * 4
+
+    def test_huge_pilot_count_fails_at_once(self):
+        with pytest.raises(InfeasibleAssignmentError, match="not surjective: 10+ pilots for 2"):
+            PilotAssignment((0, 1), 10**18)
+
     def test_relabeled(self):
         a = PilotAssignment((0, 1, 1), 2)
         assert a.relabeled([1, 0]).pilot_of == (1, 0, 0)
@@ -365,6 +381,48 @@ class TestExactBetaSquares:
         ):
             with pytest.raises(ValueError, match="invalid system: " + re.escape(violation)):
                 call()
+
+    def test_payload_disagreeing_with_beta_refused(self):
+        # Float mode reads beta (objective 0.5 on (0, 0)), rational mode the
+        # payload (it would report 200): a system carrying both is invalid.
+        s = make_system([[1.0, 0.5], [0.5, 1.0]], [(0,), (1,)], tau=1)
+        a = PilotAssignment((0, 0), 1)
+        bad = dataclasses.replace(s, beta_sq_exact=[[1, 100], [100, 1]])
+        violation = "exact beta-square payload is not beta**2 at [(0, 1), (1, 0)]"
+        assert validate_system(bad).violations == (violation,)
+        for call in (
+            lambda: brute_force_exact(bad, exact=True),
+            lambda: decide(bad, 1),
+            lambda: contamination_objective(bad, a, exact=True),
+        ):
+            with pytest.raises(ValueError, match="invalid system: " + re.escape(violation)):
+                call()
+        # an ulp apart is the same square; a part in 2**40 is not
+        near = [[1, Fraction(1, 4) * (1 + Fraction(1, 2**52))], [Fraction(1, 4), 1]]
+        assert validate_system(dataclasses.replace(s, beta_sq_exact=near)).ok
+        off = [[1, Fraction(1, 4) * (1 + Fraction(1, 2**40))], [Fraction(1, 4), 1]]
+        assert not validate_system(dataclasses.replace(s, beta_sq_exact=off)).ok
+
+    @pytest.mark.parametrize("dummy_aps", [0, 2])
+    @pytest.mark.parametrize(
+        "weight",
+        [3, Fraction(2, 7), 0.1, np.int64(10**15 + 1), 1e308, Fraction(1, 10**400), 5e-324, 10**300],
+        ids=["int", "fraction", "float", "int64", "1e308", "tiny-fraction", "subnormal", "big-int"],
+    )
+    def test_reduction_payloads_agree_with_beta(self, weight, dummy_aps):
+        # mixed with other weight types; squares that underflow beta pass too
+        weights = {(0, 1): weight, (1, 2): 1, (0, 2): Fraction(1, 3**40), (2, 3): 0.3}
+        s = mkp_to_pa(WeightedGraph(4, 2, weights), n_dummy_aps=dummy_aps, exact=True)
+        assert validate_system(s).ok
+
+    def test_numpy_integer_payload_stays_exact(self):
+        # an int64 numerator scaled by a large common denominator overflowed
+        # into a wrong exact objective before payload parts became ints
+        weights = {(0, 1): np.int64(10**15 + 1), (1, 2): Fraction(1, 3**30), (0, 2): Fraction(1, 7**20)}
+        s = mkp_to_pa(WeightedGraph(3, 1, weights), exact=True)
+        assert all(type(x.numerator) is int for x in s.beta_sq_exact.flat)
+        a = PilotAssignment((0, 0, 0), 1)
+        assert contamination_objective(s, a, exact=True) == sum(weights.values(), Fraction(0))
 
     def test_reduction_payloads_stay_valid(self):
         # zero entries off the serving links (absent edges, dummy APs) are fine
