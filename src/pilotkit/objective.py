@@ -13,14 +13,14 @@ weight; the equivalent ordered form (summing user by user over co-pilot
 partners, one side at a time) reaches the same total because each pair
 then contributes its two one-sided terms separately.
 
-Every consumer reads w from one K x K interference matrix, built once
-per system by ``interference_matrix``; in float mode it is checked
-against the scalar definition ``pairwise_interference``. All functions
-accept ``exact=True`` to run in rational arithmetic, used by the
-reduction verifier. Rational mode works on Python integers: each user's
-one-sided terms share one denominator, so the memoised integer rows give
-the exact matrix (one Fraction per entry), objective (one per user) and
-scalar weight (two).
+Every consumer reads w from one K x K matrix memoised per system: in
+float mode from ``system_model._user_terms``, the one pass over each
+user's serving set that also builds the rate terms, equal to the scalar
+``pairwise_interference`` bit for bit. With ``exact=True`` every function
+runs in rational arithmetic, as the reduction verifier needs, on Python
+integers: each user's one-sided terms share one denominator, so the
+memoised integer rows give the exact matrix (one Fraction per entry),
+objective (one per user) and scalar weight (two).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .system_model import (
     PilotAssignment,
     _integer_beta_squares,
     _over_common_denominator,
+    _user_terms,
     check_assignment,
     derived,
 )
@@ -86,22 +87,6 @@ def pairwise_interference(
     return _one_sided(s, k, k2) + _one_sided(s, k2, k)
 
 
-def _interference_float(s: CfMmimoSystem) -> np.ndarray:
-    # Row k holds the one-sided terms sum_{m in A(k)} (beta[j, m] / beta[k, m])**2
-    # for every j. The ratios are laid out in C order, so each row is reduced
-    # like the 1-D sum in pairwise_interference and the entries equal the
-    # scalar weights bit for bit.
-    one_sided = np.empty((s.k_users, s.k_users))
-    for k, aps in enumerate(s.serving_sets):
-        idx = list(aps)
-        ratios = np.ascontiguousarray(s.beta[:, idx]) / s.beta[k, idx]
-        one_sided[k] = (ratios * ratios).sum(axis=1)
-    w = one_sided + one_sided.T
-    np.fill_diagonal(w, 0.0)
-    w.setflags(write=False)
-    return w
-
-
 def _exact_rows(s: CfMmimoSystem) -> tuple[np.ndarray, tuple[int, ...]]:
     # The one-sided terms in rational mode, on integers. With P the integer
     # beta squares and L[k] = lcm(P[k, m] for m in A(k)), every term
@@ -136,12 +121,12 @@ def _interference_exact(s: CfMmimoSystem) -> np.ndarray:
 def interference_matrix(s: CfMmimoSystem, exact: bool = False):
     """The K x K matrix W of pair weights, W[k, k'] = w(k, k'), zero diagonal.
 
-    Built once per system and memoised (see ``system_model.derived``), so
-    the system must not change afterwards. Returns a read-only numpy array:
-    float64 by default, an object array of Fractions with ``exact=True``.
-    Raises ValueError on an invalid system.
+    Memoised per system (see ``system_model.derived``), so the system must
+    not change afterwards; float W comes from ``_user_terms``, the pass that
+    also builds the rate terms. Returns a read-only array: float64, or with
+    ``exact=True`` Fractions. Raises ValueError on an invalid system.
     """
-    return derived(s, _interference_exact if exact else _interference_float)
+    return derived(s, _interference_exact) if exact else derived(s, _user_terms)[0]
 
 
 def interference_pairs(s: CfMmimoSystem, exact: bool = False) -> list[tuple[int, int, Weight]]:

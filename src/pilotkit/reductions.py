@@ -24,7 +24,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .objective import contamination_objective, interference_pairs
+from .objective import contamination_objective, interference_matrix
 from .system_model import (
     CfMmimoSystem,
     PilotAssignment,
@@ -63,7 +63,8 @@ class WeightedGraph:
 
     weights maps unordered vertex pairs (stored with i < j) to finite
     nonnegative weights; absent pairs weigh 0. Weights may be int, float
-    or Fraction; rational weights keep partition objectives exact.
+    or Fraction; rational weights keep partition objectives exact. numpy
+    integer and floating scalars are stored as int and float.
     """
 
     n_vertices: int
@@ -77,16 +78,21 @@ class WeightedGraph:
             raise ValueError(
                 f"k_parts={self.k_parts} must lie in [1, n_vertices={self.n_vertices}]"
             )
+        n, inf = self.n_vertices, math.inf
         norm: dict[tuple[int, int], Weight] = {}
         for (i, j), w in self.weights.items():
-            i, j = int(i), int(j)
+            if type(i) is not int or type(j) is not int:
+                i, j = int(i), int(j)
+            if type(w) is not float and isinstance(w, (np.integer, np.floating)):
+                # a numpy scalar would sum in fixed width or low precision
+                w = int(w) if isinstance(w, np.integer) else float(w)
             if i == j:
                 raise ValueError(f"self-loop weight on vertex {i}")
-            if not 0 <= i < self.n_vertices or not 0 <= j < self.n_vertices:
+            if not 0 <= i < n or not 0 <= j < n:
                 raise ValueError(f"edge ({i}, {j}) out of range")
             if w < 0:
                 raise ValueError(f"negative weight {w} on edge ({i}, {j})")
-            if not w < math.inf:
+            if not w < inf:
                 raise ValueError(f"non-finite weight {w} on edge ({i}, {j})")
             key = (i, j) if i < j else (j, i)
             if key in norm and norm[key] != w:
@@ -168,7 +174,9 @@ def pa_to_mkp(s: CfMmimoSystem, exact: bool = False) -> WeightedGraph:
     weight equal to the pairwise interference, block count equal to the
     pilot count. Raises ValueError on an invalid system.
     """
-    weights = {(i, j): w for i, j, w in interference_pairs(s, exact=exact)}
+    w = interference_matrix(s, exact=exact)
+    ii, jj = np.triu_indices(s.k_users, 1)
+    weights = dict(zip(zip(ii.tolist(), jj.tolist()), w[ii, jj].tolist()))
     return WeightedGraph(s.k_users, s.tau_pilots, weights)
 
 

@@ -463,41 +463,48 @@ def generate_system(
     return s
 
 
-def _rate_terms(s: CfMmimoSystem) -> tuple[np.ndarray, ...]:
-    """The assignment-independent parts of every user's SINR.
+def _user_terms(s: CfMmimoSystem) -> tuple[np.ndarray, ...]:
+    """The assignment-independent terms of every pair and user.
 
-    Returns (numerator, noncoherent, noise, coherent), the first three
-    indexed by user k: rho_u * eta[k] * (sum of gamma over A(k))**2, the
-    non-coherent interference, and the noise term sum(gamma over A(k)).
-    coherent[k, j] = eta[j] * (sum_{m in A(k)} gamma[k, m] beta[j, m] / beta[k, m])**2
-    is what user j adds, before the factor rho_u, to k's coherent
-    interference when the two share a pilot; its diagonal is zero. Each
-    entry is evaluated in the same order as a direct per-user loop, so
-    rates are the same floats.
+    Returns (W, numerator, noncoherent, noise, coherent): the float
+    interference matrix W[k, j] = o[k, j] + o[j, k], with the one-sided
+    o[k, j] = sum_{m in A(k)} (beta[j, m] / beta[k, m])**2; per user k,
+    rho_u * eta[k] * (sum of gamma over A(k))**2, the non-coherent
+    interference and the noise term sum(gamma over A(k)); and
+    coherent[k, j] = eta[j] * (sum_{m in A(k)} gamma[k, m] beta[j, m] / beta[k, m])**2,
+    what user j adds, before the factor rho_u, to k's coherent
+    interference when the two share a pilot. Both matrices have a zero
+    diagonal. Each user's columns beta[:, A(k)] are gathered once and
+    their ratios laid out in C order, so each row is reduced like a 1-D
+    sum over A(k): every entry is the float a per-user loop gives, and W
+    equals ``pairwise_interference`` bit for bit.
     """
-    k_users = s.k_users
-    noise = np.empty(k_users)
-    noncoherent = np.empty(k_users)
-    coherent = np.empty((k_users, k_users))
+    k_users, beta, eta = s.k_users, s.beta, s.eta
+    one_sided, coherent = np.empty((k_users, k_users)), np.empty((k_users, k_users))
+    noise, noncoherent = np.empty(k_users), np.empty(k_users)
     for k, aps in enumerate(s.serving_sets):
         idx = list(aps)
+        b = beta[:, idx]
         g = s.gamma[k, idx]
         noise[k] = g.sum()
-        noncoherent[k] = s.rho_u * (s.eta @ (s.beta[:, idx] @ g))
-        # C order, so each row is reduced like a 1-D sum over A(k).
-        ratio = (g * (np.ascontiguousarray(s.beta[:, idx]) / s.beta[k, idx])).sum(axis=1)
-        coherent[k] = s.eta * ratio * ratio
+        noncoherent[k] = s.rho_u * (eta @ (b @ g))
+        ratios = np.ascontiguousarray(b) / b[k]
+        one_sided[k] = (ratios * ratios).sum(axis=1)
+        ratio = (g * ratios).sum(axis=1)
+        coherent[k] = eta * ratio * ratio
+    w = one_sided + one_sided.T
+    np.fill_diagonal(w, 0.0)
     np.fill_diagonal(coherent, 0.0)
-    numerator = s.rho_u * s.eta * noise * noise
-    terms = (numerator, noncoherent, noise, coherent)
+    numerator = s.rho_u * eta * noise * noise
+    terms = (w, numerator, noncoherent, noise, coherent)
     for arr in terms:
         arr.setflags(write=False)
     return terms
 
 
 def _rates(s: CfMmimoSystem, labels: np.ndarray, users) -> list[float]:
-    """Rates of users (a slice, or a list of indices), in one masked pass."""
-    numerator, noncoherent, noise, coherent = derived(s, _rate_terms)
+    """Rates of users (a slice), in one masked pass."""
+    _, numerator, noncoherent, noise, coherent = derived(s, _user_terms)
     # Each row adds its co-pilot terms one at a time in user order, as a
     # loop does; the others add +0.0, which changes no nonnegative sum.
     same = labels[users, None] == labels
@@ -521,7 +528,7 @@ def uplink_rate(s: CfMmimoSystem, a: PilotAssignment, k: int) -> float:
     check_assignment(s, a)
     if not 0 <= k < s.k_users:
         raise IndexError(f"user index {k} out of range [0, {s.k_users})")
-    return _rates(s, np.asarray(a.pilot_of), [k])[0]
+    return _rates(s, np.asarray(a.pilot_of), slice(k, k + 1))[0]
 
 
 def uplink_rates(s: CfMmimoSystem, a: PilotAssignment) -> list[float]:

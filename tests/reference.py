@@ -12,6 +12,9 @@ the plain rejection sampler. ``interference_exact`` and
 from the Fraction beta squares of ``exact_beta_squares``, which the
 integer row form replaced; they are the independent check of the exact
 matrix, the exact objective and the exact scalar weight.
+``interference_float`` and ``rate_terms`` are the two separate per-user
+passes that built the float matrix and the uplink-rate terms before one
+pass built both.
 """
 
 import itertools
@@ -215,3 +218,52 @@ def co_pilot_sum_exact(w, labels):
             if labels[i] == labels[j]:
                 total += w[i, j]
     return total
+
+
+def interference_float(s):
+    """The float interference matrix, built in its own pass over the users."""
+    # Row k holds the one-sided terms sum_{m in A(k)} (beta[j, m] / beta[k, m])**2
+    # for every j. The ratios are laid out in C order, so each row is reduced
+    # like the 1-D sum in pairwise_interference and the entries equal the
+    # scalar weights bit for bit.
+    one_sided = np.empty((s.k_users, s.k_users))
+    for k, aps in enumerate(s.serving_sets):
+        idx = list(aps)
+        ratios = np.ascontiguousarray(s.beta[:, idx]) / s.beta[k, idx]
+        one_sided[k] = (ratios * ratios).sum(axis=1)
+    w = one_sided + one_sided.T
+    np.fill_diagonal(w, 0.0)
+    w.setflags(write=False)
+    return w
+
+
+def rate_terms(s):
+    """The assignment-independent parts of every user's SINR.
+
+    Returns (numerator, noncoherent, noise, coherent), the first three
+    indexed by user k: rho_u * eta[k] * (sum of gamma over A(k))**2, the
+    non-coherent interference, and the noise term sum(gamma over A(k)).
+    coherent[k, j] = eta[j] * (sum_{m in A(k)} gamma[k, m] beta[j, m] / beta[k, m])**2
+    is what user j adds, before the factor rho_u, to k's coherent
+    interference when the two share a pilot; its diagonal is zero. Each
+    entry is evaluated in the same order as a direct per-user loop, so
+    rates are the same floats.
+    """
+    k_users = s.k_users
+    noise = np.empty(k_users)
+    noncoherent = np.empty(k_users)
+    coherent = np.empty((k_users, k_users))
+    for k, aps in enumerate(s.serving_sets):
+        idx = list(aps)
+        g = s.gamma[k, idx]
+        noise[k] = g.sum()
+        noncoherent[k] = s.rho_u * (s.eta @ (s.beta[:, idx] @ g))
+        # C order, so each row is reduced like a 1-D sum over A(k).
+        ratio = (g * (np.ascontiguousarray(s.beta[:, idx]) / s.beta[k, idx])).sum(axis=1)
+        coherent[k] = s.eta * ratio * ratio
+    np.fill_diagonal(coherent, 0.0)
+    numerator = s.rho_u * s.eta * noise * noise
+    terms = (numerator, noncoherent, noise, coherent)
+    for arr in terms:
+        arr.setflags(write=False)
+    return terms

@@ -5,6 +5,8 @@ scalar ``pairwise_interference``; rational mode on integers (the exact
 matrix, objective and scalar weight), local search, worst-user, the
 uplink rate and the exact solvers' surjection enumerator against the
 Fraction and loop versions in ``reference.py``, which they replaced; the
+one-pass builder of W and the rate terms against the two separate
+builders it replaced, bit for bit; the
 one-pass ``uplink_rates`` against ``uplink_rate`` user by user, bit for
 bit; and the integer graph side of exact ``verify_measure_equality``
 against ``mkp_objective`` on Fraction weights.
@@ -45,7 +47,7 @@ from pilotkit import (
     uplink_rates,
     verify_measure_equality,
 )
-from pilotkit import solvers
+from pilotkit import solvers, system_model
 from pilotkit.objective import interference_pairs
 
 import reference
@@ -155,6 +157,65 @@ def test_matrices_are_memoised_and_read_only():
     assert interference_matrix(s) is w
     with pytest.raises(ValueError):
         w[0, 1] = 1.0
+
+
+def _assert_terms_match_reference(s):
+    """The one-pass builder gives W and the four rate arrays of the two
+    separate reference builders, bit for bit (nan where both overflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = system_model.derived(s, system_model._user_terms)
+        want = (reference.interference_float(s),) + reference.rate_terms(s)
+    assert interference_matrix(s) is got[0]
+    assert len(got) == len(want) == 5
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.float64 and not a.flags.writeable
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+# (K, M, tau) of every benchmark workload's systems
+BENCHMARK_SHAPES = [(10, 32, 3), (8, 32, 5), (50, 100, 5), (100, 200, 8), (20, 64, 4)]
+
+
+@pytest.mark.parametrize("rule", ["energy:0.95", "top:1", "top:8"])
+@pytest.mark.parametrize("shape", BENCHMARK_SHAPES)
+def test_user_terms_match_reference_builders(shape, rule):
+    for seed in (1, 2, 3):
+        _assert_terms_match_reference(_system(shape, seed, rule))
+
+
+@st.composite
+def wide_systems(draw):
+    """Small systems with beta from 1e-150 to 1e151, single-AP serving sets,
+    users with eta = 0, and zero fading off the serving links."""
+    k, m = draw(st.integers(1, 6), label="K"), draw(st.integers(1, 5), label="M")
+    scale = st.builds(lambda e, x: x * 10.0**e, st.integers(-150, 150), st.floats(1.0, 10.0))
+    unit = st.floats(0.0, 1.0)
+
+    def table(values):
+        return np.array(draw(st.lists(st.lists(values, min_size=m, max_size=m), min_size=k, max_size=k)))
+
+    serving = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1), min_size=k, max_size=k))
+    off = table(st.booleans()) & np.array([[j not in a for j in range(m)] for a in serving])
+    beta = np.where(off, 0.0, table(scale))
+    eta = draw(st.lists(st.sampled_from([0.0, 1.0]) | unit, min_size=k, max_size=k), label="eta")
+    tau = draw(st.integers(1, k), label="tau")
+    return make_system(beta, serving, tau, gamma=beta * table(unit), eta=eta,
+                       rho_u=draw(scale, label="rho_u"), tau_c=tau + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=wide_systems())
+def test_user_terms_match_reference_builders_on_wide_systems(s):
+    _assert_terms_match_reference(s)
+
+
+def test_one_float_memo_entry_per_system():
+    s = _system((20, 64, 4), 3)
+    init = random_feasible(s, 3)
+    local_search_move(s, init)
+    greedy_worst_user(s, init)
+    system_throughput(s, init)
+    assert list(system_model._DERIVED[s]) == [system_model._user_terms]
 
 
 @pytest.mark.parametrize("shape, seed", CASES)

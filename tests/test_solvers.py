@@ -143,6 +143,28 @@ class TestBruteForcePartition:
         g2 = WeightedGraph(3, 2, g.weights)
         assert brute_force_partition(g2).objective == 1e308
 
+    def test_numpy_integer_weights_sum_exactly(self):
+        big = np.int64(2**62)
+        g = WeightedGraph(3, 1, {(0, 1): big, (0, 2): big, (1, 2): big})
+        assert all(type(w) is int for w in g.weights.values())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no fixed-width overflow
+            value = mkp_objective(g, Partition((0, 0, 0), 1))
+            report = brute_force_partition(g)
+        assert type(value) is int and value == 3 * 2**62
+        assert type(report.objective) is Fraction and report.objective == 3 * 2**62
+        assert report.optimality_certificate == "exact"
+
+    def test_numpy_float_weights_sum_as_floats(self):
+        parts = [np.float32(0.2), np.float32(0.1), np.float16(0.3)]
+        g = WeightedGraph(3, 1, dict(zip(TRIANGLE_EDGES, parts)))
+        assert all(type(w) is float for w in g.weights.values())
+        want = float(parts[0]) + float(parts[1]) + float(parts[2])
+        value = mkp_objective(g, Partition((0, 0, 0), 1))
+        report = brute_force_partition(g)
+        assert type(value) is float and value.hex() == want.hex()
+        assert type(report.objective) is float and report.objective.hex() == want.hex()
+
     def test_budget_refusal(self):
         g = coloring_to_mkp(25, [(0, 1)], 2)
         with pytest.raises(BudgetExceededError):
