@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import statistics
 import sys
 import time
@@ -322,8 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args keeps no state in the parser (a fresh namespace per call, no
+# append defaults), so in-process callers can share one
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code; a usage error exits with
+    code 2 through argparse. All calls in a process share one parser."""
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
         has_instance = bool(args.instance or args.assignment)

@@ -137,8 +137,8 @@ class Partition:
         return len(self.block_of)
 
 
-def _co_block_weights(g: WeightedGraph, p: Partition) -> list[Weight]:
-    """Weights of the edges inside a block, in sorted edge order."""
+def _co_block_weights(g: WeightedGraph, p: Partition) -> list[tuple[int, Weight]]:
+    """(block, weight) of the edges inside a block, in sorted edge order."""
     if p.n_vertices != g.n_vertices:
         raise ValueError(
             f"partition covers {p.n_vertices} vertices, graph has {g.n_vertices}"
@@ -148,13 +148,13 @@ def _co_block_weights(g: WeightedGraph, p: Partition) -> list[Weight]:
             f"block count mismatch: partition has {p.n_blocks}, graph wants {g.k_parts}"
         )
     blocks = p.block_of
-    return [g.weights[(i, j)] for (i, j) in sorted(g.weights) if blocks[i] == blocks[j]]
+    return [(blocks[i], w) for (i, j), w in sorted(g.weights.items()) if blocks[i] == blocks[j]]
 
 
 def mkp_objective(g: WeightedGraph, p: Partition) -> Weight:
     """Total weight of edges with both endpoints in the same block."""
     total: Weight = 0
-    for w in _co_block_weights(g, p):
+    for _, w in _co_block_weights(g, p):
         total += w
     return total
 
@@ -279,10 +279,12 @@ def verify_measure_equality(
     Computes the contamination objective directly and the partition
     objective of the reduced (graph, partition) pair, then compares:
     within DEFAULT_REL_TOL in float mode, exactly in rational mode, where a
-    float weight counts at its exact value. ``graph`` overrides the
-    reduction output, which lets callers probe corrupted reductions; by
-    default the graph is derived from the system. A value beyond float
-    range reports as inf in ``abs_diff`` (and prints so in the CLI).
+    float weight counts at its exact value, summed per block over the
+    block's own least common denominator (float mode sums in sorted edge
+    order, as mkp_objective does). ``graph`` overrides the reduction
+    output, which lets callers probe corrupted reductions; by default the
+    graph is derived from the system. A value beyond float range reports
+    as inf in ``abs_diff`` (and prints so in the CLI).
     """
     if graph is None:
         graph = pa_to_mkp(s, exact=exact)
@@ -290,11 +292,13 @@ def verify_measure_equality(
     p = pa_solution_to_mkp(a)
     if exact:
         # the exact values of the co-block weights, floats too, as integers
-        ints, denom = _over_common_denominator(
-            w.as_integer_ratio() if isinstance(w, float) else (int(w.numerator), int(w.denominator))
-            for w in _co_block_weights(graph, p)
-        )
-        m_mkp: Weight = Fraction(sum(ints), denom)
+        # over one denominator per block: one lcm over every block's
+        # weights would grow about tau times longer
+        buckets: list[list[tuple[int, int]]] = [[] for _ in range(p.n_blocks)]
+        for b, w in _co_block_weights(graph, p):
+            n, d = w.as_integer_ratio() if isinstance(w, float) else (w.numerator, w.denominator)
+            buckets[b].append((int(n), int(d)))
+        m_mkp: Weight = sum(Fraction(sum(n), d) for n, d in map(_over_common_denominator, buckets))
     else:
         m_mkp = mkp_objective(graph, p)
     # rational mode compares exact values, whose float() can overflow

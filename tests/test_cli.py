@@ -10,7 +10,7 @@ import pytest
 
 import pilotkit
 from pilotkit import contamination_objective, graphs_equal
-from pilotkit.cli import SOLVER_NAMES, main
+from pilotkit.cli import SOLVER_NAMES, build_parser, main
 from pilotkit.fileio import (
     format_assignment,
     format_graph,
@@ -381,3 +381,37 @@ class TestBench:
         assert srows[0] == ["solver", "n_instances", "mean_ratio", "max_ratio"]
         for row in srows[1:]:
             assert float(row[2]) >= 1 - 1e-9
+
+
+class TestParserReuse:
+    """main() parses every call with one parser; no call may leak a flag
+    into the next."""
+
+    def test_calls_share_no_state(self, tmp_path, capsys):
+        inst = gen_instance(tmp_path)
+        rates = tmp_path / "rates.csv"
+        asg = tmp_path / "a.txt"
+        assert run("solve", "--instance", inst, "--solver", "greedy",
+                   "--out", tmp_path / "r.csv", "--rates-out", rates) == 0
+        rates.unlink()
+        assert run("solve", "--instance", inst, "--solver", "greedy",
+                   "--out", tmp_path / "r.csv", "--assignment-out", asg) == 0
+        assert not rates.exists()
+
+        g7, g, g0 = (tmp_path / f"{n}.txt" for n in ("g7", "g", "g0"))
+        dims = ("--aps", 12, "--users", 5, "--pilots", 2)
+        assert run("gen", *dims, "--seed", 7, "--out", g7) == 0
+        assert run("gen", *dims, "--out", g) == 0
+        assert run("gen", *dims, "--seed", 0, "--out", g0) == 0
+        assert g.read_bytes() == g0.read_bytes() != g7.read_bytes()
+
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run("verify", "--instance", inst, "--partition", asg)
+        assert exc.value.code == 2
+        assert "verify wants --instance with --assignment" in capsys.readouterr().err
+        assert run("verify", "--instance", inst, "--assignment", asg, "--exact") == 0
+        assert capsys.readouterr().out.startswith("PASS mode=rational")
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()

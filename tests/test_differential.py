@@ -8,8 +8,8 @@ Fraction and loop versions in ``reference.py``, which they replaced; the
 one-pass builder of W and the rate terms against the two separate
 builders it replaced, bit for bit; the
 one-pass ``uplink_rates`` against ``uplink_rate`` user by user, bit for
-bit; and the integer graph side of exact ``verify_measure_equality``
-against ``mkp_objective`` on Fraction weights.
+bit; and the per-block integer graph side of exact
+``verify_measure_equality`` against ``mkp_objective`` on Fraction weights.
 """
 
 import dataclasses
@@ -461,4 +461,17 @@ def test_exact_graph_side_matches_fraction_sum_on_systems(shape):
             a = random_feasible(s, a_seed)
             # the float graph's weights are rounded, so it fails exact verify
             _assert_graph_side_matches(s, a, pa_to_mkp(s), passes=shape[2] == shape[0])
+            _assert_graph_side_matches(s, a, pa_to_mkp(s, exact=True))
+
+
+@pytest.mark.parametrize("shape", [(30, 64, 3), (40, 100, 4)])
+def test_exact_graph_side_matches_fraction_sum_on_large_blocks(shape):
+    # blocks of 10 users and more, whose co-block weights carry long,
+    # mostly coprime denominators: each block's lcm differs from the others
+    k, _, tau = shape
+    for seed in (1, 2):
+        s = _system(shape, seed)
+        # user 0 alone on pilot 0: an empty bucket, which must add exactly 0
+        singleton = PilotAssignment((0,) + tuple(1 + i % (tau - 1) for i in range(k - 1)), tau)
+        for a in (random_feasible(s, 0), random_feasible(s, 1), singleton):
             _assert_graph_side_matches(s, a, pa_to_mkp(s, exact=True))
