@@ -13,14 +13,14 @@ weight; the equivalent ordered form (summing user by user over co-pilot
 partners, one side at a time) reaches the same total because each pair
 then contributes its two one-sided terms separately.
 
-Every consumer reads w from one K x K matrix memoised per system: in
-float mode from ``system_model._user_terms``, the one pass over each
-user's serving set that also builds the rate terms, equal to the scalar
-``pairwise_interference`` bit for bit. With ``exact=True`` every function
-runs in rational arithmetic, as the reduction verifier needs, on Python
-integers: each user's one-sided terms share one denominator, so the
-memoised integer rows give the exact matrix (one Fraction per entry),
-objective (one per user) and scalar weight (two).
+Every consumer reads w from one K x K matrix memoised per system, and
+the scalar ``pairwise_interference`` is one of its entries: in float
+mode from ``system_model._user_terms``, the one pass over each user's
+serving set that also builds the rate terms. With ``exact=True`` every
+function runs in rational arithmetic, as the reduction verifier needs,
+on Python integers: each user's one-sided terms share one denominator,
+so the memoised integer rows give the exact matrix (one Fraction per
+entry) and objective (one per user).
 """
 
 from __future__ import annotations
@@ -63,28 +63,21 @@ def co_pilot_set(a: PilotAssignment, k: int) -> set[int]:
     return {j for j, p in enumerate(a.pilot_of) if p == pk and j != k}
 
 
-def _one_sided(s: CfMmimoSystem, k: int, other: int) -> float:
-    ratios = s.beta[other, list(s.serving_sets[k])] / s.beta[k, list(s.serving_sets[k])]
-    return float((ratios * ratios).sum())
-
-
 def pairwise_interference(
     s: CfMmimoSystem, k: int, k2: int, exact: bool = False
 ) -> Weight:
-    """Symmetric interference weight between two distinct users.
-
-    Zero exactly when neither user has a positive fading coefficient on
-    the other's serving set.
+    """Symmetric interference weight between two distinct users: the entry
+    W[k, k2] of ``interference_matrix(s, exact=exact)``, so ValueError on
+    an invalid system. Zero exactly when neither user has a positive
+    fading coefficient on the other's serving set.
     """
     if k == k2:
         raise ValueError(f"pair weight needs two distinct users, got k = k' = {k}")
     for u in (k, k2):
         if not 0 <= u < s.k_users:
             raise IndexError(f"user index {u} out of range [0, {s.k_users})")
-    if exact:
-        n, lcms = derived(s, _exact_rows)
-        return Fraction(n[k, k2], lcms[k]) + Fraction(n[k2, k], lcms[k2])
-    return _one_sided(s, k, k2) + _one_sided(s, k2, k)
+    w = interference_matrix(s, exact=exact)[k, k2]
+    return w if exact else float(w)
 
 
 def _exact_rows(s: CfMmimoSystem) -> tuple[np.ndarray, tuple[int, ...]]:

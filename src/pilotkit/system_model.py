@@ -477,22 +477,24 @@ def _user_terms(s: CfMmimoSystem) -> tuple[np.ndarray, ...]:
     diagonal. Each user's columns beta[:, A(k)] are gathered once and
     their ratios laid out in C order, so each row is reduced like a 1-D
     sum over A(k): every entry is the float a per-user loop gives, and W
-    equals ``pairwise_interference`` bit for bit.
+    equals the scalar ``pair_weight`` of ``tests/reference.py`` bit for bit.
     """
     k_users, beta, eta = s.k_users, s.beta, s.eta
     one_sided, coherent = np.empty((k_users, k_users)), np.empty((k_users, k_users))
     noise, noncoherent = np.empty(k_users), np.empty(k_users)
-    for k, aps in enumerate(s.serving_sets):
-        idx = list(aps)
-        b = beta[:, idx]
-        g = s.gamma[k, idx]
-        noise[k] = g.sum()
-        noncoherent[k] = s.rho_u * (eta @ (b @ g))
-        ratios = np.ascontiguousarray(b) / b[k]
-        one_sided[k] = (ratios * ratios).sum(axis=1)
-        ratio = (g * ratios).sum(axis=1)
-        coherent[k] = eta * ratio * ratio
-    w = one_sided + one_sided.T
+    # An overflowed term is inf without a warning (certifying callers refuse it); nan warns.
+    with np.errstate(over="ignore"):
+        for k, aps in enumerate(s.serving_sets):
+            idx = list(aps)
+            b = beta[:, idx]
+            g = s.gamma[k, idx]
+            noise[k] = g.sum()
+            noncoherent[k] = s.rho_u * (eta @ (b @ g))
+            ratios = np.ascontiguousarray(b) / b[k]
+            one_sided[k] = (ratios * ratios).sum(axis=1)
+            ratio = (g * ratios).sum(axis=1)
+            coherent[k] = eta * ratio * ratio
+        w = one_sided + one_sided.T
     np.fill_diagonal(w, 0.0)
     np.fill_diagonal(coherent, 0.0)
     numerator = s.rho_u * eta * noise * noise

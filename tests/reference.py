@@ -3,8 +3,10 @@
 These are the per-pair and per-user loops that ``local_search_move``,
 ``greedy_worst_user`` and ``uplink_rate`` replaced with matrix
 arithmetic. They read the fading matrix directly and take every pair
-weight from the scalar ``pairwise_interference``, so the differential
-tests compare the matrix code against an independent evaluation.
+weight from ``pair_weight``, the scalar definition of w(k, j) that
+``pairwise_interference`` computed before it became an entry of the
+memoised matrix, so the differential tests compare the matrix code
+against an independent evaluation.
 ``min_over_surjections`` is the tuple-by-tuple enumeration the numpy
 block enumerator of the exact solvers replaced, and ``random_feasible``
 the plain rejection sampler. ``interference_exact`` and
@@ -24,7 +26,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from pilotkit import PilotAssignment, pairwise_interference
+from pilotkit import PilotAssignment
+
+
+def pair_weight(s, k, j):
+    """w(k, j) as two 1-D sums of squared ratios, over A(k) and over A(j)."""
+
+    def one_sided(k, other):
+        idx = list(s.serving_sets[k])
+        ratios = s.beta[other, idx] / s.beta[k, idx]
+        return float((ratios * ratios).sum())
+
+    return one_sided(k, j) + one_sided(j, k)
 
 
 def min_over_surjections(n, k, pairs):
@@ -141,7 +154,7 @@ def local_search_move(s, init, max_iters=10_000):
     w = [[0.0] * k_users for _ in range(k_users)]
     for i in range(k_users):
         for j in range(i + 1, k_users):
-            w[i][j] = w[j][i] = pairwise_interference(s, i, j)
+            w[i][j] = w[j][i] = pair_weight(s, i, j)
 
     def objective_of(labels):
         total = 0.0
@@ -224,8 +237,8 @@ def interference_float(s):
     """The float interference matrix, built in its own pass over the users."""
     # Row k holds the one-sided terms sum_{m in A(k)} (beta[j, m] / beta[k, m])**2
     # for every j. The ratios are laid out in C order, so each row is reduced
-    # like the 1-D sum in pairwise_interference and the entries equal the
-    # scalar weights bit for bit.
+    # like the 1-D sums in pair_weight and the entries equal the scalar
+    # weights bit for bit.
     one_sided = np.empty((s.k_users, s.k_users))
     for k, aps in enumerate(s.serving_sets):
         idx = list(aps)

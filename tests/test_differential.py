@@ -1,7 +1,8 @@
 """Differential tests: the matrix code against the loop references.
 
-The float interference matrix is checked entry by entry against the
-scalar ``pairwise_interference``; rational mode on integers (the exact
+The float interference matrix and the scalar ``pairwise_interference``
+are checked entry by entry against the scalar ``reference.pair_weight``,
+bit for bit; rational mode on integers (the exact
 matrix, objective and scalar weight), local search, worst-user, the
 uplink rate and the exact solvers' surjection enumerator against the
 Fraction and loop versions in ``reference.py``, which they replaced; the
@@ -75,12 +76,14 @@ def test_interference_matrix_matches_pairwise_float(rule):
         for i in range(12):
             for j in range(12):
                 if i != j:
-                    assert math.isclose(w[i, j], pairwise_interference(s, i, j), rel_tol=REL)
+                    expected = reference.pair_weight(s, i, j).hex()
+                    assert float(w[i, j]).hex() == expected
+                    assert pairwise_interference(s, i, j).hex() == expected
 
 
 def test_interference_matrix_matches_pairwise_exact():
-    # The scalar exact weight reads the integer rows; the reference matrix
-    # divides Fraction beta squares, so the check stays independent.
+    # The scalar exact weight is an entry of the memoised W; the reference
+    # matrix divides Fraction beta squares, so the check stays independent.
     for seed in range(3):
         s = _system((6, 16, 2), seed, "top:8")
         w = reference.interference_exact(s)

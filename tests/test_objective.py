@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 
 from pilotkit import (
     PilotAssignment,
+    brute_force_exact,
     co_pilot_set,
     contamination_objective,
     contamination_report,
+    interference_matrix,
     pairwise_interference,
+    uplink_rates,
 )
 from pilotkit.solvers import random_feasible
 
@@ -87,6 +91,34 @@ class TestPairwiseInterference:
         w_exact = pairwise_interference(s, 0, 1, exact=True)
         assert isinstance(w_exact, Fraction)
         assert math.isclose(w_float, float(w_exact), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize(
+        "beta, serving",
+        [([[0.0, 1.0], [1.0, 1.0]], [(0,), (1,)]), ([[1.0, 1.0], [1.0, 1.0]], [(0,), (2,)])],
+        ids=["zero-serving-beta", "serving-ap-out-of-range"],
+    )
+    def test_invalid_system_refused(self, beta, serving, exact):
+        # both modes index the memoised W, whose first build validates
+        s = make_system(beta, serving, tau=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="invalid system"):
+                pairwise_interference(s, 0, 1, exact=exact)
+
+    def test_overflowed_weight_is_inf_without_warning(self):
+        # a valid system whose ratio 1 / 1e-160 squares beyond float range
+        s = make_system([[1e-160, 1.0], [1.0, 1.0]], [(0,), (1,)], tau=1)
+        a = PilotAssignment((0, 0), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert interference_matrix(s).tolist() == [[0.0, math.inf], [math.inf, 0.0]]
+            assert contamination_objective(s, a) == math.inf
+            assert pairwise_interference(s, 0, 1) == math.inf
+            rate0, rate1 = uplink_rates(s, a)
+            assert rate0 == 0.0 and 0.0 < rate1 < math.inf  # user 0 drowns in inf
+            with pytest.raises(ValueError, match="not finite"):
+                brute_force_exact(s)
 
 
 class TestContaminationObjective:
