@@ -18,7 +18,6 @@ from pathlib import Path
 from . import fileio
 from .objective import contamination_report
 from .reductions import (
-    InvalidPartitionError,
     _as_float,
     coloring_to_mkp,
     mkp_solution_to_pa,
@@ -39,7 +38,6 @@ from .solvers import (
 )
 from .system_model import (
     GenerationConfig,
-    InfeasibleAssignmentError,
     generate_system,
     uplink_rates,
     validate_system,
@@ -355,10 +353,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (fileio.FormatError, InfeasibleAssignmentError, InvalidPartitionError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as e:
+    except (ValueError, OSError) as e:  # FormatError and the label errors are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

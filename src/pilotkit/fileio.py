@@ -5,18 +5,20 @@ lines starting with ``#`` are ignored. Floats are written with their
 shortest round-trip representation, so parse(serialize(x)) is
 value-exact; graph weights may also be integers or rationals ``p/q``.
 
-pa-instance/1            mkp-graph/1          pa-assignment/1
     pa-instance/1            mkp-graph/1          pa-assignment/1
     aps 4                    vertices 3           users 3
     users 2                  parts 2              pilots 2
     pilots 2                 edge 0 1 1           assign 0 1 0
     rho_u 100.0              edge 1 2 1/2
-    tau_c 200                                 mkp-partition/1
-    eta 1.0 1.0          (omitted edge            mkp-partition/1
-    serve 0 1             weights default          vertices 3
-    serve 2 3             to 1)                    parts 2
-    beta <M floats> x K                            assign 0 1 0
+    tau_c 200                                     mkp-partition/1
+    eta 1.0 1.0              (omitted edge        vertices 3
+    serve 0 1                weights default      parts 2
+    serve 2 3                to 1)                assign 0 1 0
+    beta <M floats> x K
     gamma <M floats> x K
+
+Assignment and partition files share one form: a labels line plus its
+dimensions.
 """
 
 from __future__ import annotations
@@ -225,40 +227,36 @@ def parse_graph(text: str) -> WeightedGraph:
         raise FormatError(str(e)) from e
 
 
+def _format_labels(magic: str, items: str, parts: str, labels: tuple[int, ...], n: int) -> str:
+    return f"{magic}\n{items} {len(labels)}\n{parts} {n}\nassign {' '.join(map(str, labels))}\n"
+
+
+def _parse_labels(text: str, magic: str, items: str, parts: str) -> tuple[tuple[int, ...], int]:
+    """The labels and the label count of an assignment or partition file."""
+    ln = _Lines(text, magic)
+    n = _one_int(ln.next(items), items)
+    k = _one_int(ln.next(parts), parts)
+    labels = _ints(ln.next("assign"), "assign")
+    ln.done()
+    if len(labels) != n:
+        raise FormatError(f"assign lists {len(labels)} {items}, header says {n}")
+    return tuple(labels), k
+
+
 def format_assignment(a: PilotAssignment) -> str:
-    return (
-        f"{ASSIGNMENT_MAGIC}\nusers {a.n_users}\npilots {a.n_pilots}\n"
-        "assign " + " ".join(str(p) for p in a.pilot_of) + "\n"
-    )
+    return _format_labels(ASSIGNMENT_MAGIC, "users", "pilots", a.pilot_of, a.n_pilots)
 
 
 def parse_assignment(text: str) -> PilotAssignment:
-    ln = _Lines(text, ASSIGNMENT_MAGIC)
-    k = _one_int(ln.next("users"), "users")
-    tau = _one_int(ln.next("pilots"), "pilots")
-    pilots = _ints(ln.next("assign"), "assign")
-    ln.done()
-    if len(pilots) != k:
-        raise FormatError(f"assign lists {len(pilots)} users, header says {k}")
-    return PilotAssignment(tuple(pilots), tau)
+    return PilotAssignment(*_parse_labels(text, ASSIGNMENT_MAGIC, "users", "pilots"))
 
 
 def format_partition(p: Partition) -> str:
-    return (
-        f"{PARTITION_MAGIC}\nvertices {p.n_vertices}\nparts {p.n_blocks}\n"
-        "assign " + " ".join(str(b) for b in p.block_of) + "\n"
-    )
+    return _format_labels(PARTITION_MAGIC, "vertices", "parts", p.block_of, p.n_blocks)
 
 
 def parse_partition(text: str) -> Partition:
-    ln = _Lines(text, PARTITION_MAGIC)
-    n = _one_int(ln.next("vertices"), "vertices")
-    k = _one_int(ln.next("parts"), "parts")
-    blocks = _ints(ln.next("assign"), "assign")
-    ln.done()
-    if len(blocks) != n:
-        raise FormatError(f"assign lists {len(blocks)} vertices, header says {n}")
-    return Partition(tuple(blocks), k)
+    return Partition(*_parse_labels(text, PARTITION_MAGIC, "vertices", "parts"))
 
 
 def _read(path) -> str:

@@ -29,8 +29,8 @@ from .system_model import (
     CfMmimoSystem,
     PilotAssignment,
     _gamma_from_beta,
-    _listed,
     _over_common_denominator,
+    _surjective,
 )
 
 __all__ = [
@@ -113,24 +113,8 @@ class Partition:
     n_blocks: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "block_of", tuple(int(b) for b in self.block_of))
-        if self.n_blocks < 1:
-            raise InvalidPartitionError("need at least one block")
-        if self.n_blocks > len(self.block_of):
-            raise InvalidPartitionError(
-                f"{self.n_blocks} blocks for {len(self.block_of)} vertices: "
-                "some blocks are empty"
-            )
-        seen = set()
-        for b in self.block_of:
-            if not 0 <= b < self.n_blocks:
-                raise InvalidPartitionError(
-                    f"block label {b} out of range [0, {self.n_blocks})"
-                )
-            seen.add(b)
-        if len(seen) != self.n_blocks:
-            empty = sorted(set(range(self.n_blocks)) - seen)
-            raise InvalidPartitionError(f"blocks {_listed(empty)} are empty")
+        labels = _surjective(self.block_of, self.n_blocks, InvalidPartitionError, "block", "vertices")
+        object.__setattr__(self, "block_of", labels)
 
     @property
     def n_vertices(self) -> int:
@@ -315,11 +299,9 @@ def verify_measure_equality(
     )
 
 
-def graphs_equal(g1: WeightedGraph, g2: WeightedGraph, check_parts: bool = True) -> bool:
+def graphs_equal(g1: WeightedGraph, g2: WeightedGraph) -> bool:
     """Equality of graphs as weight functions (absent edge == weight 0)."""
-    if g1.n_vertices != g2.n_vertices:
-        return False
-    if check_parts and g1.k_parts != g2.k_parts:
+    if g1.n_vertices != g2.n_vertices or g1.k_parts != g2.k_parts:
         return False
     for key in g1.weights.keys() | g2.weights.keys():
         if g1.weights.get(key, 0) != g2.weights.get(key, 0):

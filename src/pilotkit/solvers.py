@@ -264,23 +264,16 @@ def decide(s: CfMmimoSystem, q, budget: int = DEFAULT_BUDGET) -> bool:
     return report.objective <= q
 
 
-def greedy_feasible(
-    s: CfMmimoSystem, rng: Optional[random.Random] = None
-) -> PilotAssignment:
+def greedy_feasible(s: CfMmimoSystem) -> PilotAssignment:
     """Feasible assignment in O(K) time.
 
-    Picks tau - 1 users for the first tau - 1 pilots (users 0..tau-2 in
-    the deterministic default, random distinct users when rng is given)
-    and parks everyone else on the last pilot.
+    Gives users 0..tau-2 pilots 0..tau-2 and parks everyone else on the
+    last pilot.
     """
     k, tau = s.k_users, s.tau_pilots
     if tau > k:
         raise ValueError(f"pilot count {tau} exceeds user count {k}")
-    pilots = [tau - 1] * k
-    leaders = rng.sample(range(k), tau - 1) if rng is not None else range(tau - 1)
-    for pilot, user in enumerate(leaders):
-        pilots[user] = pilot
-    return PilotAssignment(tuple(pilots), tau)
+    return PilotAssignment(tuple(range(tau - 1)) + (tau - 1,) * (k - tau + 1), tau)
 
 
 def random_feasible(s: CfMmimoSystem, seed: int) -> PilotAssignment:

@@ -13,6 +13,7 @@ Conventions: all indices are 0-based (users 0..K-1, APs 0..M-1, pilots
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -50,6 +51,32 @@ def _listed(labels: list[int], cap: int = 10) -> str:
     return f"{labels[:cap]}{more}"
 
 
+def _surjective(labels, n: int, error: type, label: str, items: str) -> tuple[int, ...]:
+    """labels as ints if they map onto all of 0..n-1, else raise error.
+
+    Assignments and partitions are both such labellings. The count is
+    checked before any work proportional to n, so a huge n fails at once.
+    """
+    try:
+        out = tuple(map(operator.index, labels))
+    except TypeError:
+        bad = [x for x in labels if not isinstance(x, (int, np.integer, np.bool_))]
+        if bad:
+            raise error(f"{label} index {bad[0]!r} is not an integer") from None
+        out = tuple(map(int, labels))  # numpy bools
+    if n < 1:
+        raise error(f"need at least one {label}")
+    if n > len(out):
+        raise error(f"not surjective: {n} {label}s for {len(out)} {items}, so some are empty")
+    if not 0 <= min(out) <= max(out) < n:
+        bad = next(x for x in out if not 0 <= x < n)
+        raise error(f"{label} index {bad} out of range [0, {n})")
+    used = set(out)
+    if len(used) != n:
+        raise error(f"not surjective: {label}s {_listed(sorted(set(range(n)) - used))} are empty")
+    return out
+
+
 @dataclass(frozen=True)
 class PilotAssignment:
     """Map from users to pilots.
@@ -63,26 +90,8 @@ class PilotAssignment:
     n_pilots: int
 
     def __post_init__(self) -> None:
-        pilots = tuple(map(int, self.pilot_of))
-        object.__setattr__(self, "pilot_of", pilots)
-        if self.n_pilots < 1:
-            raise InfeasibleAssignmentError("need at least one pilot")
-        if self.n_pilots > len(pilots):
-            raise InfeasibleAssignmentError(
-                f"assignment is not surjective: {self.n_pilots} pilots "
-                f"for {len(pilots)} users"
-            )
-        if not 0 <= min(pilots) <= max(pilots) < self.n_pilots:
-            bad = next(p for p in pilots if not 0 <= p < self.n_pilots)
-            raise InfeasibleAssignmentError(
-                f"pilot index {bad} out of range [0, {self.n_pilots})"
-            )
-        used = set(pilots)
-        if len(used) != self.n_pilots:
-            missing = sorted(set(range(self.n_pilots)) - used)
-            raise InfeasibleAssignmentError(
-                f"assignment is not surjective: pilots {_listed(missing)} unused"
-            )
+        labels = _surjective(self.pilot_of, self.n_pilots, InfeasibleAssignmentError, "pilot", "users")
+        object.__setattr__(self, "pilot_of", labels)
 
     @property
     def n_users(self) -> int:
@@ -315,8 +324,8 @@ class GenerationConfig:
     or ``"energy:THETA"`` (the smallest prefix of APs, in decreasing
     fading order, capturing fraction THETA of the user's total fading
     energy). eta_policy is ``"full"`` (eta = 1 for everyone) or
-    ``"uniform"`` (eta = 1/K). rho_p is the pilot-phase SNR used for the
-    default channel-estimate coefficients; it falls back to rho_u.
+    ``"uniform"`` (eta = 1/K). The pilot phase uses the data SNR rho_u
+    in the default channel-estimate coefficients.
 
     The default rho_u is the normalized SNR of a 100 mW transmitter over
     thermal noise at 20 MHz with a 9 dB noise figure (about -92 dBm),
@@ -332,7 +341,6 @@ class GenerationConfig:
     rho_u: float = 1.57e11
     tau_c: int = 200
     eta_policy: str = "full"
-    rho_p: Optional[float] = None
 
 
 def _parse_ap_rule(rule: str) -> tuple[str, float]:
@@ -413,8 +421,6 @@ def generate_system(
         raise ValueError("rho_u must be positive")
     if cfg.eta_policy not in ("full", "uniform"):
         raise ValueError(f"unknown eta policy {cfg.eta_policy!r}")
-    if cfg.rho_p is not None and not cfg.rho_p > 0:
-        raise ValueError("rho_p must be positive when given")
     if k_users > m_aps:
         warnings.warn(
             f"{k_users} users with only {m_aps} APs: atypical deployment",
@@ -442,8 +448,7 @@ def generate_system(
             take = min(max(take, 1), m_aps)
         serving.append(tuple(sorted(int(m) for m in order[:take])))
 
-    rho_p = cfg.rho_p if cfg.rho_p is not None else cfg.rho_u
-    gamma = _gamma_from_beta(beta, rho_p, tau_pilots)
+    gamma = _gamma_from_beta(beta, cfg.rho_u, tau_pilots)
     eta = np.full(k_users, 1.0 if cfg.eta_policy == "full" else 1.0 / k_users)
 
     s = CfMmimoSystem(

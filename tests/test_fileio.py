@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -260,11 +261,11 @@ def _valid_text(kind):
 
 
 @st.composite
-def mutated_documents(draw):
+def mutated_documents(draw, kinds=tuple(sorted(PARSERS))):
     """A well-formed document of a random kind, then up to four edits:
     a header count replaced (huge and negative counts included), a token
     replaced, a line dropped, duplicated or inserted."""
-    kind = draw(st.sampled_from(sorted(PARSERS)))
+    kind = draw(st.sampled_from(kinds))
     lines = draw(_valid_text(kind)).splitlines()
     for _ in range(draw(st.integers(0, 4))):
         op = draw(st.sampled_from(["count", "token", "drop", "dup", "insert"]))
@@ -321,3 +322,52 @@ class TestParserFuzzing:
         back_p = parse_partition(format_partition(p))
         assert (back_a.pilot_of, back_a.n_pilots) == lc
         assert (back_p.block_of, back_p.n_blocks) == lc
+
+
+# The words that tell an assignment file from a partition file, both ways.
+KEY_SWAP = {"pa-assignment/1": "mkp-partition/1", "users": "vertices", "pilots": "parts"}
+KEY_SWAP.update({v: k for k, v in KEY_SWAP.items()})
+
+
+def swap_keys(text):
+    return re.sub("|".join(map(re.escape, KEY_SWAP)), lambda m: KEY_SWAP[m.group()], text)
+
+
+def label_file_outcomes(text):
+    """What parse_assignment makes of text and parse_partition of its
+    swapped twin: the labelling, or the kind of error and, for a
+    FormatError, its text with the assignment's words swapped."""
+    outcomes = []
+    for parse, error, doc, words in [
+        (parse_assignment, InfeasibleAssignmentError, text, swap_keys),
+        (parse_partition, InvalidPartitionError, swap_keys(text), str),
+    ]:
+        try:
+            outcomes.append(tuple(vars(parse(doc)).values()))
+        except FormatError as e:
+            outcomes.append(("format", words(str(e))))
+        except error:
+            outcomes.append(("labels",))
+    return outcomes
+
+
+class TestLabelFilesShareOneForm:
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "users 3\npilots 2\nassign 0 1\n",
+            "users 2\npilots 2\nassign 0 x\n",
+            "users 2\nassign 0 1\n",
+            "users 2 2\npilots 2\nassign 0 1\n",
+            "users 2\npilots 2\nassign 0 1\nassign 0 1\n",
+        ],
+    )
+    def test_same_format_error_once_keys_swapped(self, body):
+        a, p = label_file_outcomes("pa-assignment/1\n" + body)
+        assert a[0] == "format" and p == a
+
+    @given(doc=mutated_documents(kinds=("assignment",)))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_files_fail_alike(self, doc):
+        a, p = label_file_outcomes(doc[1])
+        assert p == a

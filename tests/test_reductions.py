@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotkit import (
     InfeasibleAssignmentError,
@@ -102,6 +104,42 @@ class TestPartition:
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidPartitionError, match="out of range"):
             Partition((0, 3), 2)
+
+
+# A feasible assignment and a partition are the same surjective labelling.
+LABELLINGS = [
+    (PilotAssignment, InfeasibleAssignmentError, "pilot", "users"),
+    (Partition, InvalidPartitionError, "block", "vertices"),
+]
+
+
+class TestOneLabellingRule:
+    @pytest.mark.parametrize("cls, error, label, _", LABELLINGS)
+    @pytest.mark.parametrize("labels", [(0.9, 1.9), (0, 1.0), (0, np.float64(1.0))])
+    def test_non_integer_label_refused(self, cls, error, label, _, labels):
+        # int() would read 0.9 as 0 and 1.0 as 1
+        with pytest.raises(error) as exc:
+            cls(labels, 2)
+        bad = next(x for x in labels if not isinstance(x, int))
+        assert str(exc.value) == f"{label} index {bad!r} is not an integer"
+
+    @pytest.mark.parametrize("cls, error, label, _", LABELLINGS)
+    def test_numpy_integers_and_bools_accepted(self, cls, error, label, _):
+        labels = (np.int8(0), np.uint64(1), True, np.False_, np.True_)
+        assert tuple(vars(cls(labels, 2)).values()) == ((0, 1, 1, 0, 1), 2)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_both_classes_accept_the_same_labellings(self, data):
+        n = data.draw(st.one_of(st.integers(0, 6), st.just(10**18)))
+        labels = tuple(data.draw(st.lists(st.integers(-2, n + 2), max_size=8)))
+        outcomes = []
+        for cls, error, label, items in LABELLINGS:
+            try:
+                outcomes.append(tuple(vars(cls(labels, n)).values()))
+            except error as e:
+                outcomes.append(str(e).replace(label, "LABEL").replace(items, "ITEMS"))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestMkpObjective:
@@ -352,7 +390,6 @@ class TestGraphsEqual:
         g1 = WeightedGraph(3, 2, {(0, 1): 1})
         g2 = WeightedGraph(3, 3, {(0, 1): 1})
         assert not graphs_equal(g1, g2)
-        assert graphs_equal(g1, g2, check_parts=False)
 
     def test_numeric_types_compare_by_value(self):
         g1 = WeightedGraph(2, 2, {(0, 1): Fraction(3, 2)})
