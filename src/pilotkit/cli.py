@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import statistics
 import sys
@@ -51,35 +52,31 @@ EXIT_BUDGET = 4
 REPORT_HEADER = ["instance", "solver", "objective", "throughput", "elapsed_s", "certificate"]
 
 
-def _config_from_args(args) -> GenerationConfig:
-    return GenerationConfig(
-        area_side_m=args.area,
-        seed=args.seed,
-        pathloss_exponent=args.pathloss,
-        shadowing_sigma_db=args.shadow_db,
-        ap_selection_rule=args.ap_rule,
-        rho_u=args.rho_u,
-        tau_c=args.tau_c,
-        eta_policy=args.eta_policy,
-    )
+def _config_flag(p: argparse.ArgumentParser, flag: str, field: str, help: str, **kw) -> None:
+    """A generator flag stored as its GenerationConfig field, with that field's default."""
+    default = getattr(GenerationConfig, field)
+    p.add_argument(flag, dest=field, type=type(default), default=default, help=help, **kw)
 
 
-def _add_gen_flags(p: argparse.ArgumentParser) -> None:
+def _add_instance_flags(p: argparse.ArgumentParser) -> None:
+    """The generator flags that gen and bench share."""
     p.add_argument("--aps", type=int, required=True, help="number of APs (M)")
     p.add_argument("--users", type=int, required=True, help="number of users (K)")
     p.add_argument("--pilots", type=int, required=True, help="number of pilots (tau)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--area", type=float, default=1000.0, help="square side length in meters")
-    p.add_argument("--ap-rule", default="energy:0.95", help="AP selection: top:N or energy:THETA")
-    p.add_argument("--pathloss", type=float, default=3.5, help="path-loss exponent")
-    p.add_argument("--shadow-db", type=float, default=8.0, help="shadowing std dev in dB")
-    p.add_argument("--rho-u", type=float, default=1.57e11, help="normalized uplink SNR")
-    p.add_argument("--tau-c", type=int, default=200, help="coherence interval in symbols")
-    p.add_argument("--eta-policy", choices=("full", "uniform"), default="full")
+    _config_flag(p, "--seed", "seed", "RNG seed; bench's instance i uses seed+i")
+    _config_flag(p, "--area", "area_side_m", "square side length in meters")
+    _config_flag(p, "--ap-rule", "ap_selection_rule", "AP selection: top:N or energy:THETA")
+
+
+def _generation_config(args, seed: int) -> GenerationConfig:
+    """The declared generator flags as a config with this seed; the rest keep defaults."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(GenerationConfig)
+             if hasattr(args, f.name)}
+    return GenerationConfig(**{**given, "seed": seed})
 
 
 def cmd_gen(args) -> int:
-    s = generate_system(_config_from_args(args), args.aps, args.users, args.pilots)
+    s = generate_system(_generation_config(args, args.seed), args.aps, args.users, args.pilots)
     fileio.write_instance(args.out, s)
     mean_serving = sum(len(a) for a in s.serving_sets) / s.k_users
     print(
@@ -146,12 +143,18 @@ SOLVER_NAMES = tuple(SOLVERS)
 
 def _split_solvers(arg: str) -> list[str]:
     names = [n.strip() for n in arg.split(",") if n.strip()]
-    if not names:
-        raise ValueError("need at least one solver")
-    for n in names:
-        if n not in SOLVER_NAMES:
-            raise ValueError(f"unknown solver {n!r}; choose from {', '.join(SOLVER_NAMES)}")
+    unknown = [n for n in names if n not in SOLVERS]
+    if unknown or not names:
+        why = f"unknown solver {unknown[0]!r}" if unknown else "need at least one solver"
+        raise argparse.ArgumentTypeError(f"{why}; choose from {', '.join(SOLVER_NAMES)}")
     return names
+
+
+def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+    """The limits that solve and bench pass to SOLVERS."""
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max exact enumerations")
+    p.add_argument("--max-rounds", type=int, default=100, help="worst-user improvement rounds")
+    p.add_argument("--max-iters", type=int, default=10_000, help="local-search move cap")
 
 
 def _report_row(instance: str, rep: SolveReport) -> list[str]:
@@ -173,11 +176,10 @@ def _write_csv(path, header: list[str], rows: list[list[str]]) -> None:
 
 
 def cmd_solve(args) -> int:
-    solvers = _split_solvers(args.solver)
     s = fileio.read_instance(args.instance)
     rows = []
     rate_rows = []
-    for name in solvers:
+    for name in args.solver:
         rep = SOLVERS[name](s, args.seed, args)
         rows.append(_report_row(args.instance, rep))
         rates = uplink_rates(s, rep.assignment)
@@ -223,31 +225,23 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    solvers = _split_solvers(args.solvers)
     rows = []
-    ratios: dict[str, list[float]] = {n: [] for n in solvers if n != "brute"}
+    ratios: dict[str, list[float]] = {n: [] for n in args.solvers if n != "brute"}
     for i in range(args.count):
         seed = args.seed + i
-        cfg = GenerationConfig(
-            area_side_m=args.area,
-            seed=seed,
-            ap_selection_rule=args.ap_rule,
-        )
-        s = generate_system(cfg, args.aps, args.users, args.pilots)
+        s = generate_system(_generation_config(args, seed), args.aps, args.users, args.pilots)
         instance = f"gen-{seed}"
-        reports = {name: SOLVERS[name](s, seed, args) for name in solvers}
-        for name in solvers:
+        reports = {name: SOLVERS[name](s, seed, args) for name in args.solvers}
+        for name in args.solvers:
             rows.append(_report_row(instance, reports[name]))
         if "brute" in reports:
             opt = float(reports["brute"].objective)
-            for name, rep in reports.items():
-                if name == "brute":
-                    continue
-                obj = float(rep.objective)
+            for name, rs in ratios.items():
+                obj = float(reports[name].objective)
                 if opt == 0.0:
-                    ratios[name].append(1.0 if obj <= 1e-12 else float("inf"))
+                    rs.append(1.0 if obj <= 1e-12 else float("inf"))
                 else:
-                    ratios[name].append(obj / opt)
+                    rs.append(obj / opt)
     rows.sort(key=lambda r: (r[0], r[1]))
     _write_csv(args.out, REPORT_HEADER, rows)
     print(f"wrote {args.out}: {len(rows)} rows over {args.count} instances")
@@ -270,7 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a random instance file")
-    _add_gen_flags(p)
+    _add_instance_flags(p)
+    _config_flag(p, "--pathloss", "pathloss_exponent", "path-loss exponent")
+    _config_flag(p, "--shadow-db", "shadowing_sigma_db", "shadowing std dev in dB")
+    _config_flag(p, "--rho-u", "rho_u", "normalized uplink SNR")
+    _config_flag(p, "--tau-c", "tau_c", "coherence interval in symbols")
+    _config_flag(p, "--eta-policy", "eta_policy", "eta = 1 or 1/K", choices=("full", "uniform"))
     p.add_argument("--out", required=True, help="output instance path")
     p.set_defaults(func=cmd_gen)
 
@@ -283,11 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run solvers on an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--solver", required=True, help="comma list from: " + ", ".join(SOLVER_NAMES))
+    p.add_argument("--solver", type=_split_solvers, required=True,
+                   help="comma list from: " + ", ".join(SOLVER_NAMES))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max exact enumerations")
-    p.add_argument("--max-rounds", type=int, default=100, help="worst-user improvement rounds")
-    p.add_argument("--max-iters", type=int, default=10_000, help="local-search move cap")
+    _add_solver_flags(p)
     p.add_argument("--out", required=True, help="report CSV path")
     p.add_argument("--rates-out", help="per-user rate CSV path")
     p.add_argument("--assignment-out", help="write the solution assignment (single solver)")
@@ -304,16 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="benchmark solvers over seeded instances")
     p.add_argument("--count", type=int, required=True, help="number of instances")
-    p.add_argument("--aps", type=int, required=True)
-    p.add_argument("--users", type=int, required=True)
-    p.add_argument("--pilots", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, help="base seed; instance i uses seed+i")
-    p.add_argument("--area", type=float, default=1000.0)
-    p.add_argument("--ap-rule", default="energy:0.95")
-    p.add_argument("--solvers", default="brute,greedy,random,local-search")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--max-rounds", type=int, default=100)
-    p.add_argument("--max-iters", type=int, default=10_000)
+    _add_instance_flags(p)
+    p.add_argument("--solvers", type=_split_solvers, default="brute,greedy,random,local-search")
+    _add_solver_flags(p)
     p.add_argument("--out", required=True, help="report CSV path")
     p.add_argument("--summary-out", help="aggregate gap-statistics CSV path")
     p.set_defaults(func=cmd_bench)
@@ -338,16 +329,11 @@ def main(argv=None) -> int:
             has_instance and not (args.instance and args.assignment)
         ) or (has_graph and not (args.graph and args.partition)):
             parser.error("verify wants --instance with --assignment, or --graph with --partition")
-    if args.command in ("solve", "bench"):
-        try:
-            names = _split_solvers(args.solver if args.command == "solve" else args.solvers)
-        except ValueError as e:
-            parser.error(str(e))
-        if args.command == "solve" and len(names) != 1:
-            if args.assignment_out:
-                parser.error("--assignment-out needs exactly one solver")
-            if args.pairs_out:
-                parser.error("--pairs-out needs exactly one solver")
+    if args.command == "solve" and len(args.solver) != 1:
+        if args.assignment_out:
+            parser.error("--assignment-out needs exactly one solver")
+        if args.pairs_out:
+            parser.error("--pairs-out needs exactly one solver")
     try:
         return args.func(args)
     except BudgetExceededError as e:

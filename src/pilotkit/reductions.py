@@ -29,6 +29,7 @@ from .system_model import (
     CfMmimoSystem,
     PilotAssignment,
     _gamma_from_beta,
+    _index,
     _over_common_denominator,
     _surjective,
 )
@@ -72,17 +73,17 @@ class WeightedGraph:
     weights: dict[tuple[int, int], Weight]
 
     def __post_init__(self) -> None:
-        if self.n_vertices < 1:
+        for name in ("n_vertices", "k_parts"):
+            object.__setattr__(self, name, _index(getattr(self, name), ValueError, name))
+        n, k, inf = self.n_vertices, self.k_parts, math.inf
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        if not 1 <= self.k_parts <= self.n_vertices:
-            raise ValueError(
-                f"k_parts={self.k_parts} must lie in [1, n_vertices={self.n_vertices}]"
-            )
-        n, inf = self.n_vertices, math.inf
+        if not 1 <= k <= n:
+            raise ValueError(f"k_parts={k} must lie in [1, n_vertices={n}]")
         norm: dict[tuple[int, int], Weight] = {}
         for (i, j), w in self.weights.items():
             if type(i) is not int or type(j) is not int:
-                i, j = int(i), int(j)
+                i, j = _index(i, ValueError, "endpoint"), _index(j, ValueError, "endpoint")
             if type(w) is not float and isinstance(w, (np.integer, np.floating)):
                 # a numpy scalar would sum in fixed width or low precision
                 w = int(w) if isinstance(w, np.integer) else float(w)
@@ -113,8 +114,11 @@ class Partition:
     n_blocks: int
 
     def __post_init__(self) -> None:
-        labels = _surjective(self.block_of, self.n_blocks, InvalidPartitionError, "block", "vertices")
+        labels, n = _surjective(
+            self.block_of, self.n_blocks, InvalidPartitionError, "block", "vertices"
+        )
         object.__setattr__(self, "block_of", labels)
+        object.__setattr__(self, "n_blocks", n)
 
     @property
     def n_vertices(self) -> int:

@@ -51,12 +51,21 @@ def _listed(labels: list[int], cap: int = 10) -> str:
     return f"{labels[:cap]}{more}"
 
 
-def _surjective(labels, n: int, error: type, label: str, items: str) -> tuple[int, ...]:
-    """labels as ints if they map onto all of 0..n-1, else raise error.
+def _index(x, error: type, what: str) -> int:
+    """x as an int (numpy integers too), else raise error."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise error(f"{what} {x!r} is not an integer") from None
+
+
+def _surjective(labels, n, error: type, label: str, items: str) -> tuple[tuple[int, ...], int]:
+    """(labels, n) as ints if the labels map onto all of 0..n-1, else raise error.
 
     Assignments and partitions are both such labellings. The count is
     checked before any work proportional to n, so a huge n fails at once.
     """
+    n = _index(n, error, f"{label} count")
     try:
         out = tuple(map(operator.index, labels))
     except TypeError:
@@ -74,7 +83,7 @@ def _surjective(labels, n: int, error: type, label: str, items: str) -> tuple[in
     used = set(out)
     if len(used) != n:
         raise error(f"not surjective: {label}s {_listed(sorted(set(range(n)) - used))} are empty")
-    return out
+    return out, n
 
 
 @dataclass(frozen=True)
@@ -90,8 +99,11 @@ class PilotAssignment:
     n_pilots: int
 
     def __post_init__(self) -> None:
-        labels = _surjective(self.pilot_of, self.n_pilots, InfeasibleAssignmentError, "pilot", "users")
+        labels, n = _surjective(
+            self.pilot_of, self.n_pilots, InfeasibleAssignmentError, "pilot", "users"
+        )
         object.__setattr__(self, "pilot_of", labels)
+        object.__setattr__(self, "n_pilots", n)
 
     @property
     def n_users(self) -> int:
@@ -266,6 +278,12 @@ def check_assignment(s: CfMmimoSystem, a: PilotAssignment) -> None:
 _DERIVED: "weakref.WeakKeyDictionary[CfMmimoSystem, dict]" = weakref.WeakKeyDictionary()
 
 
+def _require_valid(s: CfMmimoSystem) -> None:
+    result = validate_system(s)
+    if not result.ok:
+        raise ValueError("invalid system: " + "; ".join(result.violations))
+
+
 def derived(s: CfMmimoSystem, build):
     """build(s), computed once per system object and memoised.
 
@@ -276,9 +294,7 @@ def derived(s: CfMmimoSystem, build):
     """
     memo = _DERIVED.get(s)
     if memo is None:
-        result = validate_system(s)
-        if not result.ok:
-            raise ValueError("invalid system: " + "; ".join(result.violations))
+        _require_valid(s)
         memo = _DERIVED[s] = {}
     value = memo.get(build)
     if value is None:
@@ -318,7 +334,7 @@ def _integer_beta_squares(s: CfMmimoSystem) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GenerationConfig:
-    """Knobs for the synthetic-instance generator.
+    """Knobs for the synthetic-instance generator, and the only statement of its defaults.
 
     ap_selection_rule is either ``"top:N"`` (the N strongest APs per user)
     or ``"energy:THETA"`` (the smallest prefix of APs, in decreasing
@@ -346,18 +362,11 @@ class GenerationConfig:
 def _parse_ap_rule(rule: str) -> tuple[str, float]:
     kind, _, arg = rule.partition(":")
     try:
-        if kind == "top":
-            n = int(arg)
-            if n < 1:
-                raise ValueError
-            return ("top", float(n))
-        if kind == "energy":
-            theta = float(arg)
-            if not 0 < theta <= 1:
-                raise ValueError
-            return ("energy", theta)
+        value = int(arg) if kind == "top" else float(arg)
     except ValueError:
-        pass
+        value = math.nan
+    if (kind == "top" and value >= 1) or (kind == "energy" and 0 < value <= 1):
+        return kind, float(value)
     raise ValueError(
         f"invalid AP selection rule {rule!r}: expected 'top:N' (N >= 1) "
         "or 'energy:THETA' (0 < THETA <= 1)"
@@ -365,10 +374,9 @@ def _parse_ap_rule(rule: str) -> tuple[str, float]:
 
 
 def _gamma_from_beta(beta: np.ndarray, rho_p: float, tau: int) -> np.ndarray:
-    x = tau * rho_p * beta
-    with np.errstate(invalid="ignore"):
-        g = np.where(beta > 0, x * beta / (x + 1.0), 0.0)
-    return g
+    with np.errstate(over="ignore", invalid="ignore"):  # validate_system refuses a non-finite gamma
+        x = tau * rho_p * beta
+        return np.where(beta > 0, x * beta / (x + 1.0), 0.0)
 
 
 def compute_gamma_default(s: CfMmimoSystem, rho_p: float, tau: int) -> np.ndarray:
@@ -399,26 +407,17 @@ def generate_system(
     Serving sets come from cfg.ap_selection_rule and gamma from the
     default channel-estimate formula.
 
-    Raises ValueError on an invalid configuration (including
-    tau_pilots > k_users, which would make every assignment infeasible);
-    warns, but proceeds, when k_users > m_aps.
+    Raises ValueError on a configuration it cannot use or, as ``derived``
+    does, on a system that fails ``validate_system`` (tau_pilots > k_users,
+    say); warns, but proceeds, when k_users > m_aps.
     """
     rule_kind, rule_arg = _parse_ap_rule(cfg.ap_selection_rule)
-    if cfg.area_side_m <= 0:
-        raise ValueError(f"area side must be positive, got {cfg.area_side_m}")
+    if not 0 < cfg.area_side_m < math.inf:  # the area never reaches the system
+        raise ValueError(f"area side must be positive and finite, got {cfg.area_side_m}")
     if cfg.shadowing_sigma_db < 0:
         raise ValueError("shadowing sigma must be nonnegative")
-    if min(m_aps, k_users, tau_pilots) < 1:
+    if min(m_aps, k_users, tau_pilots) < 1:  # generation indexes a user's last AP
         raise ValueError("m_aps, k_users and tau_pilots must all be positive")
-    if tau_pilots > k_users:
-        raise ValueError(
-            f"pilot count {tau_pilots} exceeds user count {k_users}: "
-            "no surjective assignment exists"
-        )
-    if cfg.tau_c <= tau_pilots:
-        raise ValueError(f"tau_c={cfg.tau_c} must exceed the pilot length {tau_pilots}")
-    if not cfg.rho_u > 0:
-        raise ValueError("rho_u must be positive")
     if cfg.eta_policy not in ("full", "uniform"):
         raise ValueError(f"unknown eta policy {cfg.eta_policy!r}")
     if k_users > m_aps:
@@ -433,9 +432,10 @@ def generate_system(
     shadow = rng.normal(0.0, cfg.shadowing_sigma_db, size=(k_users, m_aps))
 
     diff = ue_xy[:, None, :] - ap_xy[None, :, :]
-    dist = np.maximum(np.sqrt((diff**2).sum(axis=-1)), 1.0)
-    pl_db = PATHLOSS_REF_DB + 10.0 * cfg.pathloss_exponent * np.log10(dist)
-    beta = 10.0 ** ((-pl_db + shadow) / 10.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # validate_system refuses inf, nan or 0
+        dist = np.maximum(np.sqrt((diff**2).sum(axis=-1)), 1.0)
+        pl_db = PATHLOSS_REF_DB + 10.0 * cfg.pathloss_exponent * np.log10(dist)
+        beta = 10.0 ** ((-pl_db + shadow) / 10.0)
 
     serving = []
     for k in range(k_users):
@@ -462,9 +462,7 @@ def generate_system(
         rho_u=cfg.rho_u,
         tau_c=cfg.tau_c,
     )
-    result = validate_system(s)
-    if not result.ok:  # pragma: no cover - generator postcondition
-        raise RuntimeError("generator produced an invalid system: " + "; ".join(result.violations))
+    _require_valid(s)
     return s
 
 

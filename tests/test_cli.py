@@ -10,7 +10,7 @@ import pytest
 
 import pilotkit
 from pilotkit import contamination_objective, graphs_equal
-from pilotkit.cli import SOLVER_NAMES, build_parser, main
+from pilotkit.cli import SOLVER_NAMES, _generation_config, build_parser, main
 from pilotkit.fileio import (
     format_assignment,
     format_graph,
@@ -20,7 +20,7 @@ from pilotkit.fileio import (
     write_graph,
     write_instance,
 )
-from pilotkit import PilotAssignment, WeightedGraph, mkp_to_pa, validate_system
+from pilotkit import GenerationConfig, PilotAssignment, WeightedGraph, mkp_to_pa, validate_system
 
 
 def run(*argv):
@@ -85,6 +85,42 @@ class TestGen:
         with pytest.raises(SystemExit) as exc:
             run("gen", "--aps", 8, "--users", 4, "--out", tmp_path / "x.txt")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [("--rho-u", "1e308"), ("--area", "inf")])
+    def test_unusable_generator_input_is_validation_failure(self, tmp_path, capsys, flags):
+        code = run("gen", "--aps", 8, "--users", 4, "--pilots", 2, *flags,
+                   "--out", tmp_path / "x.txt")
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "x.txt").exists()
+
+
+GEN_SIZES = ["--aps", "8", "--users", "4", "--pilots", "2"]
+
+
+class TestGeneratorFlags:
+    """Every GenerationConfig the CLI builds comes from the parsed flags;
+    a flag left out keeps GenerationConfig's default."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", *GEN_SIZES, "--out", "x.txt"],
+        ["bench", "--count", "1", *GEN_SIZES, "--out", "x.csv"],
+    ])
+    def test_defaults_are_generation_config_defaults(self, argv):
+        args = build_parser().parse_args(argv)
+        assert args.seed == GenerationConfig().seed
+        assert _generation_config(args, 5) == GenerationConfig(seed=5)
+
+    def test_gen_sets_every_field(self):
+        args = build_parser().parse_args([
+            "gen", *GEN_SIZES, "--out", "x.txt", "--seed", "3", "--area", "500",
+            "--ap-rule", "top:2", "--pathloss", "3", "--shadow-db", "4", "--rho-u", "1e9",
+            "--tau-c", "50", "--eta-policy", "uniform",
+        ])
+        assert _generation_config(args, args.seed) == GenerationConfig(
+            area_side_m=500.0, seed=3, pathloss_exponent=3.0, shadowing_sigma_db=4.0,
+            ap_selection_rule="top:2", rho_u=1e9, tau_c=50, eta_policy="uniform",
+        )
 
 
 class TestReduce:
@@ -381,6 +417,13 @@ class TestBench:
         assert srows[0] == ["solver", "n_instances", "mean_ratio", "max_ratio"]
         for row in srows[1:]:
             assert float(row[2]) >= 1 - 1e-9
+
+
+    def test_unusable_area_is_validation_failure(self, tmp_path, capsys):
+        code = run("bench", "--count", 1, *GEN_SIZES, "--area", "inf",
+                   "--out", tmp_path / "b.csv")
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: area side must be positive")
 
 
 class TestParserReuse:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -91,6 +92,22 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match="k_parts"):
             WeightedGraph(3, 0, {})
 
+    @pytest.mark.parametrize("n, k, weights, bad", [
+        (3.0, 2, {}, "n_vertices 3.0"),
+        (3, 2.0, {}, "k_parts 2.0"),
+        (3, 2, {(0.5, 1.7): 1}, "endpoint 0.5"),  # int() would read it as the edge (0, 1)
+        (3, 2, {(0, 1.0): 1}, "endpoint 1.0"),
+    ])
+    def test_non_integer_count_or_endpoint_refused(self, n, k, weights, bad):
+        with pytest.raises(ValueError, match=f"^{re.escape(bad)} is not an integer$"):
+            WeightedGraph(n, k, weights)
+
+    def test_numpy_integer_counts_and_endpoints_become_ints(self):
+        g = WeightedGraph(np.int64(3), np.int32(2), {(np.int64(2), np.uint8(0)): 1.5})
+        assert (g.n_vertices, g.k_parts, g.weights) == (3, 2, {(0, 2): 1.5})
+        types = {type(g.n_vertices), type(g.k_parts)} | {type(v) for e in g.weights for v in e}
+        assert types == {int}
+
 
 class TestPartition:
     def test_valid(self):
@@ -127,6 +144,19 @@ class TestOneLabellingRule:
     def test_numpy_integers_and_bools_accepted(self, cls, error, label, _):
         labels = (np.int8(0), np.uint64(1), True, np.False_, np.True_)
         assert tuple(vars(cls(labels, 2)).values()) == ((0, 1, 1, 0, 1), 2)
+
+    @pytest.mark.parametrize("cls, error, label, _", LABELLINGS)
+    @pytest.mark.parametrize("count", [2.0, 1.5, "2", None])
+    def test_non_integer_count_refused(self, cls, error, label, _, count):
+        # a count of 2.0 would be written as "pilots 2.0", which the parser refuses
+        with pytest.raises(error) as exc:
+            cls((0, 1), count)
+        assert str(exc.value) == f"{label} count {count!r} is not an integer"
+
+    @pytest.mark.parametrize("cls, error, label, _", LABELLINGS)
+    def test_numpy_integer_count_stored_as_int(self, cls, error, label, _):
+        labels, count = vars(cls((0, 1), np.int64(2))).values()
+        assert (labels, count, type(count)) == ((0, 1), 2, int)
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)

@@ -180,6 +180,27 @@ class TestGenerateSystem:
         with pytest.raises(ValueError, match="area"):
             generate_system(GenerationConfig(seed=0, area_side_m=0.0), 8, 4, 2)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("rho_u", 1e308, "invalid system: gamma contains non-finite entries"),
+        ("rho_u", math.inf, "invalid system: uplink SNR rho_u=inf"),
+        ("rho_u", -1.0, "invalid system: uplink SNR rho_u=-1.0"),
+        ("shadowing_sigma_db", math.inf, "invalid system: beta contains non-finite entries"),
+        ("shadowing_sigma_db", 1e4, "invalid system: beta contains non-finite entries"),
+        ("pathloss_exponent", math.inf, "invalid system: zero coefficient on serving link"),
+        ("pathloss_exponent", math.nan, "invalid system: beta contains non-finite entries"),
+        ("area_side_m", math.inf, "area side must be positive and finite, got inf"),
+        ("area_side_m", math.nan, "area side must be positive and finite, got nan"),
+        ("area_side_m", 1e200, "invalid system: zero coefficient on serving link"),
+        ("tau_c", 2, "invalid system: coherence interval tau_c=2 must exceed"),
+    ])
+    def test_unusable_config_raises_value_error(self, field, value, message):
+        # validate_system judges what the generator built; only the area,
+        # which never reaches the system, is checked before generation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="^" + re.escape(message)):
+                generate_system(GenerationConfig(seed=0, **{field: value}), 8, 4, 2)
+
     def test_more_users_than_aps_warns(self):
         with pytest.warns(UserWarning, match="atypical"):
             generate_system(GenerationConfig(seed=0), 3, 5, 2)
