@@ -184,6 +184,7 @@ def mkp_to_pa(
     Raises ValueError on a weight too large for a float, which beta must
     hold in either mode.
     """
+    n_dummy_aps = _index(n_dummy_aps, ValueError, "n_dummy_aps")
     if n_dummy_aps < 0:
         raise ValueError("n_dummy_aps must be nonnegative")
     n = g.n_vertices

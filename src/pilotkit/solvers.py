@@ -29,6 +29,7 @@ from .system_model import (
     CfMmimoSystem,
     PilotAssignment,
     _over_common_denominator,
+    _require_valid,
     check_assignment,
     system_throughput,
     uplink_rate,
@@ -268,11 +269,10 @@ def greedy_feasible(s: CfMmimoSystem) -> PilotAssignment:
     """Feasible assignment in O(K) time.
 
     Gives users 0..tau-2 pilots 0..tau-2 and parks everyone else on the
-    last pilot.
+    last pilot. Raises ValueError on an invalid system.
     """
+    _require_valid(s)
     k, tau = s.k_users, s.tau_pilots
-    if tau > k:
-        raise ValueError(f"pilot count {tau} exceeds user count {k}")
     return PilotAssignment(tuple(range(tau - 1)) + (tau - 1,) * (k - tau + 1), tau)
 
 
@@ -284,11 +284,11 @@ def random_feasible(s: CfMmimoSystem, seed: int) -> PilotAssignment:
     close to K), it goes on with the same generator and labels the users
     in order, giving each pilot a probability proportional to its number
     of surjective completions. Either way the draw is uniform on the
-    surjections; deterministic for a given seed.
+    surjections; deterministic for a given seed. Raises ValueError on an
+    invalid system.
     """
+    _require_valid(s)
     k, tau = s.k_users, s.tau_pilots
-    if tau > k:
-        raise ValueError(f"pilot count {tau} exceeds user count {k}")
     rng = random.Random(seed)
     for _ in range(_REJECTION_DRAWS):
         cand = [rng.randrange(tau) for _ in range(k)]

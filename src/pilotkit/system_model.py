@@ -191,6 +191,11 @@ def _payload_mismatches(beta: np.ndarray, exact: np.ndarray) -> list[tuple[int, 
 
 def validate_system(s: CfMmimoSystem) -> ValidationResult:
     """Diagnostic well-formedness check; collects violations, never raises."""
+    try:
+        for name in ("m_aps", "k_users", "tau_pilots", "tau_c"):
+            _index(getattr(s, name), ValueError, name)
+    except ValueError as e:  # the checks below compare the counts as integers
+        return ValidationResult(False, (str(e),))
     v: list[str] = []
     if s.m_aps < 1:
         v.append("AP count must be positive")
@@ -219,14 +224,11 @@ def validate_system(s: CfMmimoSystem) -> ValidationResult:
     if v:
         return ValidationResult(False, tuple(v))
 
-    if not np.isfinite(s.beta).all():
-        v.append("beta contains non-finite entries")
-    elif (s.beta < 0).any():
-        v.append("beta contains negative entries")
-    if not np.isfinite(s.gamma).all():
-        v.append("gamma contains non-finite entries")
-    elif (s.gamma < 0).any():
-        v.append("gamma contains negative entries")
+    for name, arr in (("beta", s.beta), ("gamma", s.gamma)):
+        if not np.isfinite(arr).all():
+            v.append(f"{name} contains non-finite entries")
+        elif (arr < 0).any():
+            v.append(f"{name} contains negative entries")
     if not np.isfinite(s.eta).all() or (s.eta < 0).any() or (s.eta > 1).any():
         v.append("eta entries must lie in [0, 1]")
 
@@ -244,17 +246,21 @@ def validate_system(s: CfMmimoSystem) -> ValidationResult:
         if wrong:
             v.append(f"exact beta-square payload is not beta**2 at {_listed(wrong)}")
 
+    links: list[str] = []  # cut after ten, as _listed cuts labels
     for k, aps in enumerate(s.serving_sets):
         if not aps:
-            v.append(f"serving set of user {k} is empty")
+            links.append(f"serving set of user {k} is empty")
             continue
         for m in aps:
             if not 0 <= m < s.m_aps:
-                v.append(f"serving set of user {k} references AP {m} out of range")
+                links.append(f"serving set of user {k} references AP {m} out of range")
             elif s.beta[k, m] <= 0:
-                v.append(f"zero coefficient on serving link: beta[{k}, {m}] = {s.beta[k, m]}")
+                links.append(f"zero coefficient on serving link: beta[{k}, {m}] = {s.beta[k, m]}")
             elif exact is not None and exact[k, m] == 0:
-                v.append(f"zero exact beta square on serving link ({k}, {m})")
+                links.append(f"zero exact beta square on serving link ({k}, {m})")
+    v += links[:10]
+    if len(links) > 10:
+        v.append(f"and {len(links) - 10} more serving-set violations")
 
     return ValidationResult(not v, tuple(v))
 
@@ -278,24 +284,24 @@ def check_assignment(s: CfMmimoSystem, a: PilotAssignment) -> None:
 _DERIVED: "weakref.WeakKeyDictionary[CfMmimoSystem, dict]" = weakref.WeakKeyDictionary()
 
 
-def _require_valid(s: CfMmimoSystem) -> None:
-    result = validate_system(s)
-    if not result.ok:
-        raise ValueError("invalid system: " + "; ".join(result.violations))
+def _require_valid(s: CfMmimoSystem) -> dict:
+    """The one gate, and the only caller of validate_system: returns s's memo of
+    derived values. The first call validates s, raises ``ValueError("invalid
+    system: ...")`` on a violation and records a pass by creating the memo."""
+    memo = _DERIVED.get(s)
+    if memo is None:
+        result = validate_system(s)
+        if not result.ok:
+            raise ValueError("invalid system: " + "; ".join(result.violations))
+        memo = _DERIVED[s] = {}
+    return memo
 
 
 def derived(s: CfMmimoSystem, build):
-    """build(s), computed once per system object and memoised.
-
-    The first call for a system validates it and raises
-    ``ValueError("invalid system: ...")`` when it is malformed, so nothing
-    is ever derived from an invalid system. Builders return read-only
-    arrays or tuples, because every caller shares the memoised value.
-    """
-    memo = _DERIVED.get(s)
-    if memo is None:
-        _require_valid(s)
-        memo = _DERIVED[s] = {}
+    """build(s), computed once per system object and memoised behind the
+    gate, so nothing is ever derived from an invalid system. Builders return
+    read-only arrays or tuples, because every caller shares the value."""
+    memo = _require_valid(s)
     value = memo.get(build)
     if value is None:
         value = memo[build] = build(s)

@@ -1,7 +1,10 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from pilotkit import CfMmimoSystem, GenerationConfig, generate_system
+from pilotkit import CfMmimoSystem, GenerationConfig, generate_system, system_model
 
 
 def make_system(beta, serving_sets, tau, gamma=None, eta=None, rho_u=1.0, tau_c=10):
@@ -47,3 +50,19 @@ def rate_example_system():
 def small_random_system(seed, m_aps=12, k_users=5, tau=2, rule="energy:0.9"):
     cfg = GenerationConfig(seed=seed, ap_selection_rule=rule)
     return generate_system(cfg, m_aps, k_users, tau)
+
+
+def count_validations(monkeypatch) -> Counter:
+    """validate_system's calls from here on, counted per system object,
+    in every pilotkit module that holds the function."""
+    judged: Counter = Counter()
+    real = system_model.validate_system
+
+    def counting(s):
+        judged[id(s)] += 1
+        return real(s)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "pilotkit" and getattr(module, "validate_system", None) is real:
+            monkeypatch.setattr(module, "validate_system", counting)
+    return judged

@@ -22,6 +22,8 @@ from pilotkit.fileio import (
 )
 from pilotkit import GenerationConfig, PilotAssignment, WeightedGraph, mkp_to_pa, validate_system
 
+from conftest import count_validations
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -93,6 +95,26 @@ class TestGen:
         assert code == 3
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "x.txt").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--eta-policy", "x"), "error: unknown eta policy 'x'"),
+        (("--ap-rule", "x"), "error: invalid AP selection rule 'x'"),
+    ])
+    def test_unknown_generator_rule_exits_3(self, tmp_path, capsys, flags, message):
+        # the generator alone states its rules; the parser restates none
+        code = run("gen", *GEN_SIZES, *flags, "--out", tmp_path / "x.txt")
+        assert code == 3
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_many_zero_serving_links_stay_a_short_line(self, tmp_path, capsys):
+        # 50 zero serving links: ten are listed, the rest counted
+        code = run("gen", "--aps", 100, "--users", 50, "--pilots", 2, "--pathloss", "inf",
+                   "--out", tmp_path / "x.txt")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) < 1024
+        assert err.startswith("error: invalid system: zero coefficient on serving link: beta[0, 0]")
+        assert err.rstrip().endswith("and 40 more serving-set violations")
 
 
 GEN_SIZES = ["--aps", "8", "--users", "4", "--pilots", "2"]
@@ -314,9 +336,23 @@ class TestVerify:
         cells = row.split()
         cells[1 + m] = "0.0"
         inst.write_text(text.replace(row, " ".join(cells)))
+        capsys.readouterr()
         assert run("verify", "--instance", inst, "--assignment", asg) == 3
-        out = capsys.readouterr().out
-        assert "FAIL" in out and f"[0, {m}]" in out
+        out, err = capsys.readouterr()
+        # refused on stderr, like every other command's invalid system
+        assert out == ""
+        assert err.startswith("error: invalid system: ") and f"[0, {m}]" in err
+
+    def test_valid_instance_is_validated_once(self, tmp_path, monkeypatch):
+        inst = gen_instance(tmp_path)
+        asg = tmp_path / "a.txt"
+        run("solve", "--instance", inst, "--solver", "greedy",
+            "--out", tmp_path / "r.csv", "--assignment-out", asg)
+        judged = count_validations(monkeypatch)
+        for exact in ((), ("--exact",)):
+            judged.clear()
+            assert run("verify", "--instance", inst, "--assignment", asg, *exact) == 0
+            assert list(judged.values()) == [1]
 
     def test_graph_partition_mode(self, tmp_path, capsys):
         gpath = tmp_path / "g.txt"

@@ -248,6 +248,12 @@ class TestMkpToPa:
         assert np.all(s.beta[:, 2:] == 0.0)
         assert validate_system(s).ok
 
+    def test_dummy_ap_count_is_an_integer(self):
+        g = WeightedGraph(2, 2, {(0, 1): 8})
+        with pytest.raises(ValueError, match=r"^n_dummy_aps 1\.5 is not an integer$"):
+            mkp_to_pa(g, n_dummy_aps=1.5)
+        assert mkp_to_pa(g, n_dummy_aps=np.int64(3)).m_aps == 5
+
     def test_dummy_aps_do_not_change_objective(self):
         g = random_rational_graph(9)
         a = random_feasible(mkp_to_pa(g), seed=1)

@@ -202,8 +202,18 @@ class TestGreedyFeasible:
         with pytest.raises(ValueError, match="exceeds user count"):
             greedy_feasible(s)
 
+    def test_invalid_system_is_refused(self):
+        s = make_system([[-1.0, 1.0], [1.0, 1.0]], [(0,), (1,)], tau=2)
+        with pytest.raises(ValueError, match="^invalid system: "):
+            greedy_feasible(s)
+
 
 class TestRandomFeasible:
+    def test_invalid_system_is_refused(self):
+        s = make_system([[-1.0, 1.0], [1.0, 1.0]], [(0,), (1,)], tau=2)
+        with pytest.raises(ValueError, match="^invalid system: "):
+            random_feasible(s, 0)
+
     def test_deterministic_per_seed(self):
         s = flat_system(6, 3)
         assert random_feasible(s, 9).pilot_of == random_feasible(s, 9).pilot_of

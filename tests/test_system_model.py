@@ -18,8 +18,12 @@ from pilotkit import (
     compute_gamma_default,
     contamination_objective,
     generate_system,
+    greedy_feasible,
+    greedy_worst_user,
     interference_matrix,
+    local_search_move,
     mkp_to_pa,
+    pa_to_mkp,
     brute_force_exact,
     decide,
     system_throughput,
@@ -32,7 +36,7 @@ from pilotkit.solvers import random_feasible
 from pilotkit.system_model import _integer_beta_squares, _over_common_denominator
 
 import reference
-from conftest import make_system, small_random_system
+from conftest import count_validations, make_system, small_random_system
 
 # Hand-derived rate of the symmetric two-user system sharing a pilot:
 # SINR = (1/4) / (1/4 + 1 + 1/2) = 1/7, prelog (1 - 2/10)/2 = 0.4.
@@ -136,6 +140,54 @@ class TestValidateSystem:
         )
         res = validate_system(s)
         assert not res.ok and len(res.violations) >= 3
+
+    @pytest.mark.parametrize("k_users, more", [
+        (10, ()),
+        (11, ("and 1 more serving-set violations",)),
+        (50, ("and 40 more serving-set violations",)),
+    ])
+    def test_serving_link_violations_cut_after_ten(self, k_users, more):
+        s = make_system(np.zeros((k_users, 1)), [(0,)] * k_users, tau=1)
+        listed = tuple(f"zero coefficient on serving link: beta[{k}, 0] = 0.0" for k in range(10))
+        assert validate_system(s).violations == listed + more
+
+    @pytest.mark.parametrize("field", ["m_aps", "k_users", "tau_pilots", "tau_c"])
+    def test_non_integer_count_is_a_violation(self, field):
+        s = make_system([[1.0], [1.0]], [(0,), (0,)], tau=1)
+        bad = dataclasses.replace(s, **{field: 1.5})
+        assert validate_system(bad).violations == (f"{field} 1.5 is not an integer",)
+
+    def test_numpy_integer_counts_pass(self):
+        s = make_system([[1.0], [1.0]], [(0,), (0,)], tau=1)
+        counts = {f: np.int64(getattr(s, f)) for f in ("m_aps", "k_users", "tau_pilots", "tau_c")}
+        assert validate_system(dataclasses.replace(s, **counts)).ok
+
+
+class TestOneGate:
+    """Every system passes one gate, once: no caller restates a system rule."""
+
+    def test_generated_system_is_validated_once(self, monkeypatch):
+        judged = count_validations(monkeypatch)
+        s = generate_system(GenerationConfig(seed=1), 100, 50, 5)
+        init = random_feasible(s, 1)
+        local_search_move(s, init)
+        greedy_worst_user(s, init)
+        assert judged == {id(s): 1}
+
+    def test_invalid_system_is_refused_on_every_use(self):
+        s = make_system([[-1.0, 1.0], [1.0, 1.0]], [(0,), (1,)], tau=2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^invalid system: beta contains negative"):
+                interference_matrix(s)
+
+    @pytest.mark.parametrize("call", [
+        lambda s: random_feasible(s, 0), greedy_feasible, brute_force_exact, pa_to_mkp,
+    ])
+    def test_non_integer_pilot_count_is_one_refusal(self, call):
+        s = make_system([[1.0], [1.0]], [(0,), (0,)], tau=1)
+        bad = dataclasses.replace(s, tau_pilots=1.5)
+        with pytest.raises(ValueError, match=r"^invalid system: tau_pilots 1\.5 is not an integer$"):
+            call(bad)
 
 
 class TestGenerateSystem:
