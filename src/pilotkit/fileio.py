@@ -73,18 +73,13 @@ def _fmt_weight(w) -> str:
     return _fmt_float(w)
 
 
-def _parse_weight(token: str):
+def _weight(token: str):
     if "/" in token:
-        try:
-            return Fraction(token)
-        except (ValueError, ZeroDivisionError) as e:
-            raise FormatError(f"bad rational weight {token!r}") from e
+        return Fraction(token)
     try:
-        if any(c in token for c in ".eE") or token in ("inf", "nan"):
-            return float(token)
         return int(token)
-    except ValueError as e:
-        raise FormatError(f"bad weight {token!r}") from e
+    except ValueError:
+        return float(token)
 
 
 class _Lines:
@@ -94,20 +89,30 @@ class _Lines:
             for ln in text.splitlines()
             if ln.strip() and not ln.lstrip().startswith("#")
         ]
-        self.pos = 0
         if not self.rows or self.rows[0] != magic:
             found = self.rows[0] if self.rows else "<empty>"
             raise FormatError(f"expected header {magic!r}, found {found!r}")
         self.pos = 1
 
-    def next(self, key: str) -> list[str]:
+    def take(self, key: str, conv=int, count: int | None = None) -> list:
+        """The values of the next line, which must read ``key v1 v2 ...``:
+        each token converted with conv, and count of them if count is given."""
         if self.pos >= len(self.rows):
             raise FormatError(f"unexpected end of input, expected {key!r} line")
-        parts = self.rows[self.pos].split()
-        if parts[0] != key:
+        found, *tokens = self.rows[self.pos].split()
+        if found != key:
             raise FormatError(f"expected {key!r} line, found {self.rows[self.pos]!r}")
         self.pos += 1
-        return parts[1:]
+        try:
+            values = list(map(conv, tokens))
+        except (ValueError, ZeroDivisionError) as e:
+            raise FormatError(f"bad value in {key} line: {e}") from e
+        if count is not None and len(values) != count:
+            raise FormatError(f"{key} row has {len(values)} entries, expected {count}")
+        return values
+
+    def one(self, key: str, conv=int):
+        return self.take(key, conv, 1)[0]
 
     def peek_key(self) -> str | None:
         if self.pos >= len(self.rows):
@@ -117,27 +122,6 @@ class _Lines:
     def done(self) -> None:
         if self.pos != len(self.rows):
             raise FormatError(f"trailing content: {self.rows[self.pos]!r}")
-
-
-def _ints(tokens: list[str], what: str) -> list[int]:
-    try:
-        return [int(t) for t in tokens]
-    except ValueError as e:
-        raise FormatError(f"bad integer in {what}: {tokens}") from e
-
-
-def _floats(tokens: list[str], what: str) -> list[float]:
-    try:
-        return [float(t) for t in tokens]
-    except ValueError as e:
-        raise FormatError(f"bad float in {what}: {tokens}") from e
-
-
-def _one_int(tokens: list[str], what: str) -> int:
-    vals = _ints(tokens, what)
-    if len(vals) != 1:
-        raise FormatError(f"expected one integer for {what}, got {tokens}")
-    return vals[0]
 
 
 def format_instance(s: CfMmimoSystem) -> str:
@@ -159,41 +143,22 @@ def format_instance(s: CfMmimoSystem) -> str:
 
 def parse_instance(text: str) -> CfMmimoSystem:
     ln = _Lines(text, INSTANCE_MAGIC)
-    m = _one_int(ln.next("aps"), "aps")
-    k = _one_int(ln.next("users"), "users")
-    tau = _one_int(ln.next("pilots"), "pilots")
-    rho_u = _floats(ln.next("rho_u"), "rho_u")
-    if len(rho_u) != 1:
-        raise FormatError("rho_u wants exactly one value")
-    tau_c = _one_int(ln.next("tau_c"), "tau_c")
-    eta = _floats(ln.next("eta"), "eta")
-    if len(eta) != k:
-        raise FormatError(f"eta has {len(eta)} entries for {k} users")
-    serving = []
-    for _ in range(k):
-        serving.append(tuple(_ints(ln.next("serve"), "serve")))
-    beta = []
-    for _ in range(k):
-        row = _floats(ln.next("beta"), "beta")
-        if len(row) != m:
-            raise FormatError(f"beta row has {len(row)} entries for {m} APs")
-        beta.append(row)
-    gamma = []
-    for _ in range(k):
-        row = _floats(ln.next("gamma"), "gamma")
-        if len(row) != m:
-            raise FormatError(f"gamma row has {len(row)} entries for {m} APs")
-        gamma.append(row)
+    m, k, tau = ln.one("aps"), ln.one("users"), ln.one("pilots")
+    rho_u, tau_c = ln.one("rho_u", float), ln.one("tau_c")
+    eta = ln.take("eta", float, k)
+    serving = tuple(tuple(ln.take("serve")) for _ in range(k))
+    beta = [ln.take("beta", float, m) for _ in range(k)]
+    gamma = [ln.take("gamma", float, m) for _ in range(k)]
     ln.done()
     return CfMmimoSystem(
         m_aps=m,
         k_users=k,
         tau_pilots=tau,
         beta=np.array(beta),
-        serving_sets=tuple(serving),
+        serving_sets=serving,
         gamma=np.array(gamma),
         eta=np.array(eta),
-        rho_u=rho_u[0],
+        rho_u=rho_u,
         tau_c=tau_c,
     )
 
@@ -207,24 +172,22 @@ def format_graph(g: WeightedGraph) -> str:
 
 def parse_graph(text: str) -> WeightedGraph:
     ln = _Lines(text, GRAPH_MAGIC)
-    n = _one_int(ln.next("vertices"), "vertices")
-    k = _one_int(ln.next("parts"), "parts")
-    weights = {}
+    n, k = ln.one("vertices"), ln.one("parts")
+    edges = []
     while ln.peek_key() == "edge":
-        tokens = ln.next("edge")
-        if len(tokens) not in (2, 3):
-            raise FormatError(f"edge line wants 'i j [weight]', got {tokens}")
-        i, j = _ints(tokens[:2], "edge")
-        w = _parse_weight(tokens[2]) if len(tokens) == 3 else 1
-        key = (i, j) if i < j else (j, i)
-        if key in weights:
-            raise FormatError(f"duplicate edge {key}")
-        weights[key] = w
+        # endpoints parse like weights; WeightedGraph refuses a non-integer one
+        values = ln.take("edge", _weight)
+        if len(values) not in (2, 3):
+            raise FormatError(f"edge line wants 'i j [weight]', got {values}")
+        edges.append((tuple(values[:2]), values[2] if len(values) == 3 else 1))
     ln.done()
     try:
-        return WeightedGraph(n, k, weights)
+        g = WeightedGraph(n, k, dict(edges))
     except ValueError as e:
         raise FormatError(str(e)) from e
+    if len(g.weights) != len(edges):
+        raise FormatError(f"duplicate edge: {len(edges)} edge lines name {len(g.weights)} edges")
+    return g
 
 
 def _format_labels(magic: str, items: str, parts: str, labels: tuple[int, ...], n: int) -> str:
@@ -234,9 +197,8 @@ def _format_labels(magic: str, items: str, parts: str, labels: tuple[int, ...], 
 def _parse_labels(text: str, magic: str, items: str, parts: str) -> tuple[tuple[int, ...], int]:
     """The labels and the label count of an assignment or partition file."""
     ln = _Lines(text, magic)
-    n = _one_int(ln.next(items), items)
-    k = _one_int(ln.next(parts), parts)
-    labels = _ints(ln.next("assign"), "assign")
+    n, k = ln.one(items), ln.one(parts)
+    labels = ln.take("assign")
     ln.done()
     if len(labels) != n:
         raise FormatError(f"assign lists {len(labels)} {items}, header says {n}")

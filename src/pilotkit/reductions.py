@@ -88,7 +88,7 @@ class WeightedGraph:
                 # a numpy scalar would sum in fixed width or low precision
                 w = int(w) if isinstance(w, np.integer) else float(w)
             if i == j:
-                raise ValueError(f"self-loop weight on vertex {i}")
+                raise ValueError(f"self-loop on vertex {i}: input must be a simple graph")
             if not 0 <= i < n or not 0 <= j < n:
                 raise ValueError(f"edge ({i}, {j}) out of range")
             if w < 0:
@@ -189,19 +189,14 @@ def mkp_to_pa(
         raise ValueError("n_dummy_aps must be nonnegative")
     n = g.n_vertices
     m = n + n_dummy_aps
-    beta = np.zeros((n, m))
-    np.fill_diagonal(beta, 1.0)
+    beta = np.eye(n, m)
+    bsq = np.eye(n, m, dtype=object) if exact else None
     for (i, j), w in g.weights.items():
         try:
             beta[i, j] = beta[j, i] = math.sqrt(float(w) / 2.0)
         except OverflowError:
             raise ValueError(f"weight on edge ({i}, {j}) is beyond float range") from None
-
-    bsq = None
-    if exact:
-        bsq = np.full((n, m), Fraction(0), dtype=object)
-        np.fill_diagonal(bsq, Fraction(1))
-        for (i, j), w in g.weights.items():
+        if exact:
             bsq[i, j] = bsq[j, i] = Fraction(w) / 2
 
     tau = g.k_parts
@@ -235,13 +230,7 @@ def coloring_to_mkp(
     """Unit-weight graph whose k-partition optimum is 0 iff the graph is
     k-colourable (a zero optimum means every edge is cut, i.e. every block
     is an independent set)."""
-    weights: dict[tuple[int, int], Weight] = {}
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u == v:
-            raise ValueError(f"self-loop on vertex {u}: input must be a simple graph")
-        weights[(u, v) if u < v else (v, u)] = 1
-    return WeightedGraph(n_vertices, k_parts, weights)
+    return WeightedGraph(n_vertices, k_parts, {tuple(e): 1 for e in edges})
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ Conventions: all indices are 0-based (users 0..K-1, APs 0..M-1, pilots
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import warnings
 import weakref
@@ -158,11 +159,8 @@ class CfMmimoSystem:
             exact = np.array(rows, dtype=object)  # 1-D if ragged: the shape check reports it
             exact.setflags(write=False)
             object.__setattr__(self, "beta_sq_exact", exact)
-        object.__setattr__(
-            self,
-            "serving_sets",
-            tuple(tuple(sorted(set(int(m) for m in a))) for a in self.serving_sets),
-        )
+        serving = (sorted({_index(m, ValueError, "AP index") for m in a}) for a in self.serving_sets)
+        object.__setattr__(self, "serving_sets", tuple(map(tuple, serving)))
 
 
 @dataclass(frozen=True)
@@ -210,7 +208,7 @@ def validate_system(s: CfMmimoSystem) -> ValidationResult:
         )
     if s.tau_c <= s.tau_pilots:
         v.append(f"coherence interval tau_c={s.tau_c} must exceed pilot length {s.tau_pilots}")
-    if not (math.isfinite(s.rho_u) and s.rho_u > 0):
+    if not (isinstance(s.rho_u, numbers.Real) and math.isfinite(s.rho_u) and s.rho_u > 0):
         v.append(f"uplink SNR rho_u={s.rho_u} must be positive and finite")
 
     if s.beta.shape != (s.k_users, s.m_aps):
@@ -413,15 +411,17 @@ def generate_system(
     Serving sets come from cfg.ap_selection_rule and gamma from the
     default channel-estimate formula.
 
-    Raises ValueError on a configuration it cannot use or, as ``derived``
-    does, on a system that fails ``validate_system`` (tau_pilots > k_users,
-    say); warns, but proceeds, when k_users > m_aps.
+    Raises ValueError on a configuration or count it cannot use or, as
+    ``derived`` does, on a system that fails ``validate_system``
+    (tau_pilots > k_users, say); warns, but proceeds, when k_users > m_aps.
     """
     rule_kind, rule_arg = _parse_ap_rule(cfg.ap_selection_rule)
     if not 0 < cfg.area_side_m < math.inf:  # the area never reaches the system
         raise ValueError(f"area side must be positive and finite, got {cfg.area_side_m}")
     if cfg.shadowing_sigma_db < 0:
         raise ValueError("shadowing sigma must be nonnegative")
+    counts = {"m_aps": m_aps, "k_users": k_users, "tau_pilots": tau_pilots}
+    m_aps, k_users, tau_pilots = (_index(x, ValueError, name) for name, x in counts.items())
     if min(m_aps, k_users, tau_pilots) < 1:  # generation indexes a user's last AP
         raise ValueError("m_aps, k_users and tau_pilots must all be positive")
     if cfg.eta_policy not in ("full", "uniform"):

@@ -93,6 +93,26 @@ class TestInstanceFormat:
         with pytest.raises(FormatError, match="trailing"):
             parse_instance(format_instance(s) + "whatever else\n")
 
+    @pytest.mark.parametrize(
+        "key", ["aps", "users", "pilots", "rho_u", "tau_c", "eta", "serve", "beta", "gamma"]
+    )
+    def test_bad_token_and_bad_count_name_the_key(self, key):
+        lines = format_instance(make_system([[1.0, 0.5], [0.5, 1.0]], [(0,), (1,)], tau=1)).splitlines()
+        i = next(i for i, line in enumerate(lines) if line.split()[0] == key)
+        names_key = rf"\b{key}\b"
+        bad_token = lines.copy()
+        bad_token[i] = f"{key} x" + lines[i][len(key):]
+        with pytest.raises(FormatError, match=names_key):
+            parse_instance("\n".join(bad_token) + "\n")
+        # a serve line holds any number of APs: its count is one line per user
+        bad_count = lines.copy()
+        if key == "serve":
+            del bad_count[i]
+        else:
+            bad_count[i] += " 1"
+        with pytest.raises(FormatError, match=names_key):
+            parse_instance("\n".join(bad_count) + "\n")
+
     def test_path_round_trip(self, tmp_path):
         s = generate_system(GenerationConfig(seed=10), 6, 3, 2)
         path = tmp_path / "inst.txt"

@@ -73,6 +73,10 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match="self-loop"):
             WeightedGraph(3, 2, {(1, 1): 1})
 
+    def test_self_loop_message_names_the_rule(self):
+        with pytest.raises(ValueError, match="self-loop.*simple graph"):
+            WeightedGraph(3, 2, {(2, 2): 1})
+
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError, match="negative"):
             WeightedGraph(3, 2, {(0, 1): -1})
@@ -319,6 +323,15 @@ class TestColoringToMkp:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="simple graph"):
             coloring_to_mkp(3, [(0, 0)], 2)
+
+    def test_non_integer_endpoint_rejected(self):
+        # truncating the endpoint would build the edge (0, 1)
+        with pytest.raises(ValueError, match="1.5"):
+            coloring_to_mkp(3, [(0, 1.5)], 2)
+
+    def test_edges_normalised_as_the_graph_does(self):
+        g = coloring_to_mkp(3, [(2, 0), [0, 2], (np.int64(1), 2)], 2)
+        assert g.weights == {(0, 2): 1, (1, 2): 1}
 
 
 class TestVerifyMeasureEquality:

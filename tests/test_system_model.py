@@ -140,6 +140,9 @@ class TestValidateSystem:
         )
         res = validate_system(s)
         assert not res.ok and len(res.violations) >= 3
+        for rho_u in (None, "x"):  # not a real number: reported, not raised
+            res = validate_system(dataclasses.replace(s, rho_u=rho_u))
+            assert f"uplink SNR rho_u={rho_u} must be positive and finite" in res.violations
 
     @pytest.mark.parametrize("k_users, more", [
         (10, ()),
@@ -161,6 +164,16 @@ class TestValidateSystem:
         s = make_system([[1.0], [1.0]], [(0,), (0,)], tau=1)
         counts = {f: np.int64(getattr(s, f)) for f in ("m_aps", "k_users", "tau_pilots", "tau_c")}
         assert validate_system(dataclasses.replace(s, **counts)).ok
+
+    def test_non_integer_ap_index_is_refused(self):
+        # truncating the indices would read ((0,), (1,)), a valid system
+        with pytest.raises(ValueError, match="AP index 0.9 is not an integer"):
+            make_system([[1.0, 1.0], [1.0, 1.0]], [(0.9,), (1.5,)], tau=1)
+
+    def test_numpy_integer_ap_indices_pass(self):
+        s = make_system([[1.0, 1.0], [1.0, 1.0]], [np.array([1, 0]), (np.int32(1),)], tau=1)
+        assert s.serving_sets == ((0, 1), (1,))
+        assert all(type(m) is int for aps in s.serving_sets for m in aps)
 
 
 class TestOneGate:
@@ -252,6 +265,16 @@ class TestGenerateSystem:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="^" + re.escape(message)):
                 generate_system(GenerationConfig(seed=0, **{field: value}), 8, 4, 2)
+
+    @pytest.mark.parametrize("counts, name", [
+        ((1.5, 4, 2), "m_aps 1.5"), ((8, 4.0, 2), "k_users 4.0"), ((8, 4, 2.0), "tau_pilots 2.0"),
+    ])
+    def test_non_integer_count_raises_value_error(self, counts, name):
+        # refused before the deployment warning, which m_aps = 1.5 would trigger
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(name)} is not an integer$"):
+                generate_system(GenerationConfig(seed=0), *counts)
 
     def test_more_users_than_aps_warns(self):
         with pytest.warns(UserWarning, match="atypical"):
