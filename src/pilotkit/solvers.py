@@ -1,9 +1,9 @@
 """Assignment solvers: exact enumeration at desk scale plus baselines.
 
 The exact solver enumerates every surjective assignment in lexicographic
-order (giving reproducible tie-breaks), block by block in numpy, growing
-only prefixes that can still be completed; it is the oracle the
-heuristics are measured against. The heuristics re-implement
+order (giving reproducible tie-breaks), block by block in numpy, as
+prefixes that can still be completed times a table of tails; it is the
+oracle the heuristics are measured against. The heuristics re-implement
 the simple schemes common in the pilot-assignment literature: uniform
 random assignment, linear-time greedy feasibility, iterative improvement
 of the worst user's rate, and steepest-descent local search on the
@@ -28,6 +28,7 @@ from .reductions import WeightedGraph, pa_to_mkp
 from .system_model import (
     CfMmimoSystem,
     PilotAssignment,
+    _index,
     _over_common_denominator,
     _require_valid,
     check_assignment,
@@ -137,30 +138,58 @@ def _extend(prefix: np.ndarray, used: np.ndarray, need: int):
 def _surjection_blocks(n: int, k: int):
     """Every surjective labeling of n items with k labels, in lexicographic order.
 
-    Yields (n, rows) int8 arrays of at most _BLOCK labelings, one labeling
-    per column. Prefixes grow one item at a time, each by every label, in
-    increasing order, that still leaves enough items to use the labels it
-    lacks. So every prefix built has a surjective completion, and the work
-    is at most n * k tried extensions per surjection. (int8 holds any
-    label count a budget can afford: 128 labels take 128! labelings.)
+    Yields (n, rows) int8 arrays of _BLOCK labelings, one labeling per
+    column, all full but the last. A labeling is a head of n - t labels
+    and a tail of t, t the longest whose k**t labelings fit in a block;
+    the tails are tabulated once, in lexicographic order. Heads grow one
+    item at a time, each by every label, in increasing order, that still
+    leaves enough items to use the labels it lacks. Then each head is
+    followed by every tail that uses all the labels it lacks, in tail
+    order. So no non-surjective labeling is built, and per surjection the
+    work is one copy of its n labels and at most (n - t) * k / min(t, k)!
+    tried head extensions (every head has that many completions or more).
+    int8 holds any label count a budget can afford: 128 labels take 128!.
     """
+    t = next(t for t in range(n, -1, -1) if k**t <= _BLOCK)
+    tails = np.indices((k,) * t, np.int8).reshape(t, k**t)
+    missing = np.ones((k**t, k), bool)  # the labels each tail does not use
+    missing[np.arange(k**t), tails] = False
     step = max(1, _BLOCK // k)  # prefixes whose extensions fit in one block
+
+    def expand(heads, used):
+        # Heads that lack the same labels take the same tails: find those
+        # once per lacking set, then follow each head by its set's tails.
+        lacks, key = np.unique(~used, axis=0, return_inverse=True)
+        key = key.reshape(-1)  # numpy 2.0.0 returns a column
+        fits = ~(lacks @ missing.T)  # (set, tail): the tail uses every label of the set
+        per_set = fits.sum(axis=1)
+        fitting = tails.take(np.flatnonzero(fits) % k**t, axis=1)  # each set's tails in turn
+        count = per_set[key]
+        ends = np.cumsum(count)
+        # Output column c of head i is column c + shift[i] of fitting.
+        shift = (np.cumsum(per_set) - per_set)[key] - ends + count
+        cuts = np.searchsorted(ends, np.arange(_BLOCK, ends[-1], _BLOCK), side="right")
+        for a, b in zip([0, *cuts], [*cuts, len(key)]):
+            cols = np.arange(ends[a] - count[a], ends[b - 1]) + np.repeat(shift[a:b], count[a:b])
+            yield np.vstack((heads[:, a:b].repeat(count[a:b], axis=1), fitting.take(cols, axis=1)))
 
     def grow(prefix, used):
         # prefix: (d, r) labels of r prefixes in lexicographic order;
         # used: (r, k) bool, the labels each prefix has used.
         d = prefix.shape[0]
-        if d == n:
-            yield prefix
+        if d == n - t:
+            yield prefix, used
             return
         need = k - (n - d - 1)  # labels a completable prefix of length d + 1 uses
         for lo in range(0, prefix.shape[1], step):
             yield from grow(*_extend(prefix[:, lo:lo + step], used[lo:lo + step], need))
 
-    # The last level yields one piece per `step` prefixes, often far short
-    # of a block; merge the pieces into full blocks before they are scored.
+    # grow calls itself, a reference cycle, so it must not hold the tail
+    # tables, which would then outlive the call. Merge the pieces of about
+    # a block that each head chunk yields into full blocks.
+    chunks = grow(np.zeros((0, 1), np.int8), np.zeros((1, k), bool))
     pending, size = [], 0
-    for piece in grow(np.zeros((0, 1), np.int8), np.zeros((1, k), bool)):
+    for piece in (piece for chunk in chunks for piece in expand(*chunk)):
         pending.append(piece)
         size += piece.shape[1]
         while size >= _BLOCK:
@@ -183,6 +212,7 @@ def _min_over_surjections(n: int, k: int, pairs, budget: int):
     replaced only on strict improvement. Raises ValueError when the float
     optimum is not finite (its sum overflowed), rather than certify it.
     """
+    budget = _index(budget, ValueError, "budget")
     total = count_surjective_assignments(n, k)
     if total > budget:
         raise BudgetExceededError(
@@ -258,7 +288,7 @@ def decide(s: CfMmimoSystem, q, budget: int = DEFAULT_BUDGET) -> bool:
     beta-square payload, so threshold comparisons on reduced instances
     are not at the mercy of square-root rounding.
     """
-    if q < 0:
+    if not q >= 0:
         raise ValueError(f"threshold must be nonnegative, got {q}")
     exact = s.beta_sq_exact is not None
     report = brute_force_exact(s, budget=budget, exact=exact)

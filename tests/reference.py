@@ -8,8 +8,10 @@ weight from ``pair_weight``, the scalar definition of w(k, j) that
 memoised matrix, so the differential tests compare the matrix code
 against an independent evaluation.
 ``min_over_surjections`` is the tuple-by-tuple enumeration the numpy
-block enumerator of the exact solvers replaced, and ``random_feasible``
-the plain rejection sampler. ``interference_exact`` and
+block enumerator of the exact solvers replaced, ``surjection_blocks``
+that enumerator as it was before heads were multiplied by a table of
+tails (it grows every prefix one item at a time, down to the last), and
+``random_feasible`` the plain rejection sampler. ``interference_exact`` and
 ``co_pilot_sum_exact`` are rational mode on ``Fraction``s, built
 from the Fraction beta squares of ``exact_beta_squares``, which the
 integer row form replaced; they are the independent check of the exact
@@ -27,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from pilotkit import PilotAssignment
+from pilotkit.solvers import _extend
 
 
 def pair_weight(s, k, j):
@@ -68,6 +71,33 @@ def min_over_surjections(n, k, pairs):
             best = cand
     value = Fraction(best_val, denom) if rational else float(best_val)
     return value, best, visited
+
+
+def surjection_blocks(n, k, block):
+    """Every surjective labeling of n items with k labels, in lexicographic
+    order, in (n, rows) int8 blocks of `block` labelings, all full but the
+    last; every prefix is grown by ``_extend``, one item at a time."""
+    step = max(1, block // k)
+
+    def grow(prefix, used):
+        d = prefix.shape[0]
+        if d == n:
+            yield prefix
+            return
+        need = k - (n - d - 1)
+        for lo in range(0, prefix.shape[1], step):
+            yield from grow(*_extend(prefix[:, lo:lo + step], used[lo:lo + step], need))
+
+    pending, size = [], 0
+    for piece in grow(np.zeros((0, 1), np.int8), np.zeros((1, k), bool)):
+        pending.append(piece)
+        size += piece.shape[1]
+        while size >= block:
+            merged = np.hstack(pending)
+            yield merged[:, :block]
+            pending, size = [merged[:, block:]], size - block
+    if size:
+        yield np.hstack(pending)
 
 
 def random_feasible(k, tau, seed, draws):

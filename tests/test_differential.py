@@ -6,10 +6,11 @@ bit for bit; rational mode on integers (the exact
 matrix, objective and scalar weight), local search, worst-user, the
 uplink rate and the exact solvers' surjection enumerator against the
 Fraction and loop versions in ``reference.py``, which they replaced; the
-one-pass builder of W and the rate terms against the two separate
-builders it replaced, bit for bit; the
-one-pass ``uplink_rates`` against ``uplink_rate`` user by user, bit for
-bit; and the per-block integer graph side of exact
+head-times-tail surjection blocks against the grow-by-one blocks they
+replaced, block by block and bit for bit; the one-pass builder of W and
+the rate terms against the two separate builders it replaced, bit for
+bit; the one-pass ``uplink_rates`` against ``uplink_rate`` user by
+user, bit for bit; and the per-block integer graph side of exact
 ``verify_measure_equality`` against ``mkp_objective`` on Fraction weights.
 """
 
@@ -404,6 +405,30 @@ def test_blocks_hold_every_surjection_once_in_order(n, data):
     assert all(a < b for a, b in zip(labelings, labelings[1:]))
     assert all(set(lab) == set(range(k)) for lab in labelings)
     assert len(labelings) == count_surjective_assignments(n, k)
+
+
+def _assert_blocks_match_reference(n, k):
+    got = list(solvers._surjection_blocks(n, k))
+    want = list(reference.surjection_blocks(n, k, solvers._BLOCK))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int8
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("n, k", [(10, 3), (8, 5), (14, 2), (9, 8)])
+def test_blocks_match_reference(n, k):
+    _assert_blocks_match_reference(n, k)
+
+
+# A block of 1 leaves no tail for k >= 2; 7, 40 and 100 cut heads and
+# tails at every depth.
+@pytest.mark.parametrize("block", [1, 7, 40, 100])
+def test_blocks_match_reference_small_blocks(block):
+    with mock.patch.object(solvers, "_BLOCK", block):
+        for n in range(1, 8):
+            for k in range(1, n + 1):
+                _assert_blocks_match_reference(n, k)
 
 
 def test_brute_force_visits_every_surjection_at_k9_tau8():

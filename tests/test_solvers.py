@@ -1,6 +1,7 @@
 import argparse
 import itertools
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -68,6 +69,21 @@ class TestBruteForce:
             brute_force_exact(s)
         # a raised budget lets the same instance through
         assert brute_force_exact(flat_system(12, 2), budget=2**12).iterations == 2**12 - 2
+
+    @pytest.mark.parametrize("budget", [math.nan, None, 2.5])
+    def test_budget_must_be_an_integer(self, budget):
+        # nan compared below every count and enumerated without limit
+        s = flat_system(6, 2)
+        g = coloring_to_mkp(6, [(0, 1)], 2)
+        for solve in (
+            lambda: brute_force_exact(s, budget=budget),
+            lambda: brute_force_partition(g, budget=budget),
+            lambda: decide(s, 1, budget=budget),
+        ):
+            with pytest.raises(ValueError, match="budget .* is not an integer"):
+                solve()
+        with pytest.raises(BudgetExceededError):
+            brute_force_exact(s, budget=-1)
 
     def test_separating_pair_is_optimal(self):
         s = make_system(np.ones((2, 2)), [(0,), (1,)], tau=2)
@@ -185,6 +201,40 @@ class TestDecide:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             decide(flat_system(3, 2), -1)
+
+    def test_nan_threshold_rejected(self):
+        # every comparison with nan is False, so it decided False
+        with pytest.raises(ValueError, match="nonnegative"):
+            decide(flat_system(3, 2), math.nan)
+
+
+class TestSurjectionBlocks:
+    def test_first_block_of_many_labels_in_bounded_memory(self):
+        # 12!/3! heads: the heads are grown a chunk at a time, never all at once
+        tracemalloc.start()
+        try:
+            first = next(solvers._surjection_blocks(12, 12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.shape == (12, solvers._BLOCK)
+        assert peak < 4e6
+
+    def test_full_enumeration_in_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            count = sum(b.shape[1] for b in solvers._surjection_blocks(20, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 2**20 - 2
+        assert peak < 8e6
+
+    def test_first_block_of_seventy_labels(self):
+        # a used-label set held as an int64 bit mask would overflow at 64 labels
+        first = next(solvers._surjection_blocks(70, 70))
+        perms = itertools.islice(itertools.permutations(range(70)), solvers._BLOCK)
+        assert np.array_equal(first, np.array(list(perms), np.int8).T)
 
 
 class TestGreedyFeasible:
