@@ -140,7 +140,8 @@ def _surjection_blocks(n: int, k: int):
 
     Yields (n, rows) int8 arrays of _BLOCK labelings, one labeling per
     column, all full but the last. A labeling is a head of n - t labels
-    and a tail of t, t the longest whose k**t labelings fit in a block;
+    and a tail of t, t the longest whose k**t labelings fit in a block
+    and at most its bit length (np.indices takes an axis per tail item);
     the tails are tabulated once, in lexicographic order. Heads grow one
     item at a time, each by every label, in increasing order, that still
     leaves enough items to use the labels it lacks. Then each head is
@@ -150,15 +151,14 @@ def _surjection_blocks(n: int, k: int):
     tried head extensions (every head has that many completions or more).
     int8 holds any label count a budget can afford: 128 labels take 128!.
     """
-    t = next(t for t in range(n, -1, -1) if k**t <= _BLOCK)
+    t = next(t for t in range(min(n, _BLOCK.bit_length()), -1, -1) if k**t <= _BLOCK)
     tails = np.indices((k,) * t, np.int8).reshape(t, k**t)
     missing = np.ones((k**t, k), bool)  # the labels each tail does not use
     missing[np.arange(k**t), tails] = False
     step = max(1, _BLOCK // k)  # prefixes whose extensions fit in one block
 
     def expand(heads, used):
-        # Heads that lack the same labels take the same tails: find those
-        # once per lacking set, then follow each head by its set's tails.
+        # Heads that lack the same labels share their tails: one lookup per set.
         lacks, key = np.unique(~used, axis=0, return_inverse=True)
         key = key.reshape(-1)  # numpy 2.0.0 returns a column
         fits = ~(lacks @ missing.T)  # (set, tail): the tail uses every label of the set

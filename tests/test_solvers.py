@@ -236,6 +236,15 @@ class TestSurjectionBlocks:
         perms = itertools.islice(itertools.permutations(range(70)), solvers._BLOCK)
         assert np.array_equal(first, np.array(list(perms), np.int8).T)
 
+    def test_one_label_on_seventy_items(self):
+        # every 1**t tail fits a block, but the tail table takes one numpy
+        # axis per item, and numpy allows 32 or 64
+        assert [b.tolist() for b in solvers._surjection_blocks(70, 1)] == [[[0]] * 70]
+        report = brute_force_exact(flat_system(70, 1))
+        assert report.assignment.pilot_of == (0,) * 70
+        assert report.iterations == 1
+        assert brute_force_partition(coloring_to_mkp(70, [(0, 1)], 1)).iterations == 1
+
 
 class TestGreedyFeasible:
     def test_deterministic_form(self):
