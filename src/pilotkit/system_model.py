@@ -12,6 +12,7 @@ Conventions: all indices are 0-based (users 0..K-1, APs 0..M-1, pilots
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
@@ -159,7 +160,11 @@ class CfMmimoSystem:
             exact = np.array(rows, dtype=object)  # 1-D if ragged: the shape check reports it
             exact.setflags(write=False)
             object.__setattr__(self, "beta_sq_exact", exact)
-        serving = (sorted({_index(m, ValueError, "AP index") for m in a}) for a in self.serving_sets)
+        sets = self.serving_sets
+        try:
+            serving = [sorted(set(map(operator.index, a))) for a in sets]
+        except TypeError:  # name the index that is not an integer
+            serving = [sorted({_index(m, ValueError, "AP index") for m in a}) for a in sets]
         object.__setattr__(self, "serving_sets", tuple(map(tuple, serving)))
 
 
@@ -244,19 +249,29 @@ def validate_system(s: CfMmimoSystem) -> ValidationResult:
         if wrong:
             v.append(f"exact beta-square payload is not beta**2 at {_listed(wrong)}")
 
-    links: list[str] = []  # cut after ten, as _listed cuts labels
-    for k, aps in enumerate(s.serving_sets):
-        if not aps:
-            links.append(f"serving set of user {k} is empty")
-            continue
-        for m in aps:
-            if not 0 <= m < s.m_aps:
-                links.append(f"serving set of user {k} references AP {m} out of range")
-            elif s.beta[k, m] <= 0:
-                links.append(f"zero coefficient on serving link: beta[{k}, {m}] = {s.beta[k, m]}")
-            elif exact is not None and exact[k, m] == 0:
-                links.append(f"zero exact beta square on serving link ({k}, {m})")
-    v += links[:10]
+    # Every serving link (k, m) in one gather; only the violations, in user
+    # order, are looked at one by one, and only ten are spelt out.
+    sizes = [len(a) for a in s.serving_sets]
+    aps = cols = list(itertools.chain.from_iterable(s.serving_sets))
+    if aps and not 0 <= min(aps) <= max(aps) < s.m_aps:  # the bad ones may not fit an int64
+        cols = [m if 0 <= m < s.m_aps else -1 for m in aps]
+    users, cols = np.repeat(np.arange(s.k_users), sizes), np.array(cols, dtype=np.intp)
+    bad = (cols < 0) | (s.beta[users, cols] <= 0)
+    if exact is not None:
+        bad |= exact[users, cols] == 0
+    hits = np.flatnonzero(bad)
+    links = sorted([(k, -1) for k, n in enumerate(sizes) if not n]
+                   + list(zip(users[hits].tolist(), hits.tolist())))
+    for k, i in links[:10]:
+        m = aps[i] if i >= 0 else None
+        if m is None:
+            v.append(f"serving set of user {k} is empty")
+        elif not 0 <= m < s.m_aps:
+            v.append(f"serving set of user {k} references AP {m} out of range")
+        elif s.beta[k, m] <= 0:
+            v.append(f"zero coefficient on serving link: beta[{k}, {m}] = {s.beta[k, m]}")
+        else:
+            v.append(f"zero exact beta square on serving link ({k}, {m})")
     if len(links) > 10:
         v.append(f"and {len(links) - 10} more serving-set violations")
 
@@ -363,14 +378,15 @@ class GenerationConfig:
     eta_policy: str = "full"
 
 
-def _parse_ap_rule(rule: str) -> tuple[str, float]:
+def _parse_ap_rule(rule: str) -> tuple[str, int | float]:
+    """(kind, N) for top:N, N an int of any size; (kind, THETA) for energy:THETA."""
     kind, _, arg = rule.partition(":")
     try:
         value = int(arg) if kind == "top" else float(arg)
     except ValueError:
         value = math.nan
     if (kind == "top" and value >= 1) or (kind == "energy" and 0 < value <= 1):
-        return kind, float(value)
+        return kind, value
     raise ValueError(
         f"invalid AP selection rule {rule!r}: expected 'top:N' (N >= 1) "
         "or 'energy:THETA' (0 < THETA <= 1)"
@@ -396,6 +412,42 @@ def compute_gamma_default(s: CfMmimoSystem, rho_p: float, tau: int) -> np.ndarra
     if tau < 1:
         raise ValueError(f"tau must be a positive integer, got {tau}")
     return _gamma_from_beta(s.beta, rho_p, tau)
+
+
+def _serving_sets(beta: np.ndarray, rule_kind: str, rule_arg) -> tuple[tuple[int, ...], ...]:
+    """Every user's serving set A(k) under an AP selection rule, APs in increasing order.
+
+    Each row of beta is ranked by decreasing fading, equal fading going to
+    the lower AP index, as a stable sort ranks it. top:N takes the first N
+    APs of the ranking (all of them when N >= M); energy:THETA takes the
+    shortest prefix whose running sum reaches THETA times the row's total.
+    """
+    k_users, m_aps = beta.shape
+    rows = np.arange(k_users)[:, None]
+    # The default sort is about 3x faster than a stable one and ranks a row
+    # of distinct values the same way; a row with a tie, or with a nan (which
+    # equals nothing), is sorted again stably. Both rankings put equal values
+    # in the same places, so the running sums do not depend on which one ranked a row.
+    order = np.argsort(-beta, axis=1)
+    ranked = beta[rows, order]
+    tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1) | np.isnan(ranked[:, -1])
+    order[tied] = np.argsort(-beta[tied], axis=1, kind="stable")
+    if rule_kind == "top":
+        take = np.full(k_users, min(rule_arg, m_aps))
+    else:
+        cum = np.cumsum(ranked, axis=1, out=ranked)
+        # cum is nondecreasing along a row, so counting its entries below the
+        # target is searchsorted(side="left"), which puts the nan target of a
+        # row holding a nan (sorted last) after every number
+        below = cum < rule_arg * cum[:, -1:]
+        nan_rows = np.isnan(cum[:, -1])
+        below[nan_rows] = ~np.isnan(cum[nan_rows])
+        take = np.minimum(below.sum(axis=1) + 1, m_aps)
+    chosen = np.zeros(beta.shape, dtype=bool)
+    chosen[rows, order] = np.arange(m_aps) < take[:, None]
+    aps = np.nonzero(chosen)[1].tolist()  # row by row, each row's APs increasing
+    ends = np.cumsum(take).tolist()
+    return tuple(tuple(aps[a:b]) for a, b in zip([0, *ends], ends))
 
 
 def generate_system(
@@ -437,23 +489,14 @@ def generate_system(
     ue_xy = rng.uniform(0.0, cfg.area_side_m, size=(k_users, 2))
     shadow = rng.normal(0.0, cfg.shadowing_sigma_db, size=(k_users, m_aps))
 
-    diff = ue_xy[:, None, :] - ap_xy[None, :, :]
+    dx = ue_xy[:, 0, None] - ap_xy[:, 0]
+    dy = ue_xy[:, 1, None] - ap_xy[:, 1]
     with np.errstate(over="ignore", invalid="ignore"):  # validate_system refuses inf, nan or 0
-        dist = np.maximum(np.sqrt((diff**2).sum(axis=-1)), 1.0)
+        dist = np.maximum(np.sqrt(dx * dx + dy * dy), 1.0)
         pl_db = PATHLOSS_REF_DB + 10.0 * cfg.pathloss_exponent * np.log10(dist)
         beta = 10.0 ** ((-pl_db + shadow) / 10.0)
-
-    serving = []
-    for k in range(k_users):
-        order = np.argsort(-beta[k], kind="stable")
-        if rule_kind == "top":
-            take = min(int(rule_arg), m_aps)
-        else:
-            cum = np.cumsum(beta[k][order])
-            take = int(np.searchsorted(cum, rule_arg * cum[-1], side="left")) + 1
-            take = min(max(take, 1), m_aps)
-        serving.append(tuple(sorted(int(m) for m in order[:take])))
-
+    del shadow, dx, dy, dist, pl_db  # K x M each: gone before the serving sets and gamma
+    serving = _serving_sets(beta, rule_kind, rule_arg)
     gamma = _gamma_from_beta(beta, cfg.rho_u, tau_pilots)
     eta = np.full(k_users, 1.0 if cfg.eta_policy == "full" else 1.0 / k_users)
 
@@ -462,7 +505,7 @@ def generate_system(
         k_users=k_users,
         tau_pilots=tau_pilots,
         beta=beta,
-        serving_sets=tuple(serving),
+        serving_sets=serving,
         gamma=gamma,
         eta=eta,
         rho_u=cfg.rho_u,

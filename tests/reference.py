@@ -19,6 +19,12 @@ matrix, the exact objective and the exact scalar weight.
 ``interference_float`` and ``rate_terms`` are the two separate per-user
 passes that built the float matrix and the uplink-rate terms before one
 pass built both.
+``serving_sets`` is the per-user AP selection loop of the generator
+(one sort, running sum and ``searchsorted`` per user) and ``generate``
+the generator's arrays built with it from a (K, M, 2) difference array,
+as before one row-wise pass picked every serving set;
+``serving_link_violations`` is the link-by-link check that
+``validate_system`` replaced with one gather.
 """
 
 import itertools
@@ -30,6 +36,7 @@ import numpy as np
 
 from pilotkit import PilotAssignment
 from pilotkit.solvers import _extend
+from pilotkit.system_model import PATHLOSS_REF_DB, _gamma_from_beta, _parse_ap_rule
 
 
 def pair_weight(s, k, j):
@@ -310,3 +317,57 @@ def rate_terms(s):
     for arr in terms:
         arr.setflags(write=False)
     return terms
+
+
+def serving_sets(beta, rule_kind, rule_arg):
+    """A(k) of every user, one sort, running sum and searchsorted per row."""
+    k_users, m_aps = beta.shape
+    serving = []
+    for k in range(k_users):
+        order = np.argsort(-beta[k], kind="stable")
+        if rule_kind == "top":
+            take = min(rule_arg, m_aps)
+        else:
+            cum = np.cumsum(beta[k][order])
+            take = int(np.searchsorted(cum, rule_arg * cum[-1], side="left")) + 1
+            take = min(max(take, 1), m_aps)
+        serving.append(tuple(sorted(int(m) for m in order[:take])))
+    return tuple(serving)
+
+
+def generate(cfg, m_aps, k_users, tau_pilots):
+    """(beta, gamma, eta, serving sets) of ``generate_system``, the
+    distances summed over a (K, M, 2) difference array."""
+    rng = np.random.default_rng(cfg.seed)
+    ap_xy = rng.uniform(0.0, cfg.area_side_m, size=(m_aps, 2))
+    ue_xy = rng.uniform(0.0, cfg.area_side_m, size=(k_users, 2))
+    shadow = rng.normal(0.0, cfg.shadowing_sigma_db, size=(k_users, m_aps))
+    diff = ue_xy[:, None, :] - ap_xy[None, :, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = np.maximum(np.sqrt((diff**2).sum(axis=-1)), 1.0)
+        pl_db = PATHLOSS_REF_DB + 10.0 * cfg.pathloss_exponent * np.log10(dist)
+        beta = 10.0 ** ((-pl_db + shadow) / 10.0)
+    gamma = _gamma_from_beta(beta, cfg.rho_u, tau_pilots)
+    eta = np.full(k_users, 1.0 if cfg.eta_policy == "full" else 1.0 / k_users)
+    return beta, gamma, eta, serving_sets(beta, *_parse_ap_rule(cfg.ap_selection_rule))
+
+
+def serving_link_violations(s):
+    """validate_system's serving-link lines, checked link by link: the first
+    ten in user order, then a count of the rest. s must pass every check
+    before the links (counts, shapes and the exact payload's shape)."""
+    exact = s.beta_sq_exact
+    links = []
+    for k, aps in enumerate(s.serving_sets):
+        if not aps:
+            links.append(f"serving set of user {k} is empty")
+            continue
+        for m in aps:
+            if not 0 <= m < s.m_aps:
+                links.append(f"serving set of user {k} references AP {m} out of range")
+            elif s.beta[k, m] <= 0:
+                links.append(f"zero coefficient on serving link: beta[{k}, {m}] = {s.beta[k, m]}")
+            elif exact is not None and exact[k, m] == 0:
+                links.append(f"zero exact beta square on serving link ({k}, {m})")
+    more = [f"and {len(links) - 10} more serving-set violations"] if len(links) > 10 else []
+    return links[:10] + more

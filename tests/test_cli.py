@@ -65,6 +65,32 @@ def read_csv(path):
         return list(csv.reader(f))
 
 
+def _zero_links(*links):
+    return "; ".join(f"zero coefficient on serving link: beta[{k}, {m}] = 0.0" for k, m in links)
+
+
+# Generator inputs that build an invalid system at (M, K, tau) = (8, 4, 2),
+# and the exact line each leaves on stderr.
+REFUSED_GEN = {
+    ("--rho-u", "1e308"): "error: invalid system: gamma contains non-finite entries\n",
+    ("--area", "inf"): "error: area side must be positive and finite, got inf\n",
+    ("--pathloss", "inf"): f"error: invalid system: {_zero_links(*((k, 0) for k in range(4)))}\n",
+    ("--pathloss", "nan"): "error: invalid system: beta contains non-finite entries\n",
+    ("--pathloss=-1e308",): (
+        "error: invalid system: beta contains non-finite entries; "
+        "gamma contains non-finite entries\n"
+    ),
+    ("--pathloss=-50",): "error: invalid system: gamma contains non-finite entries\n",
+    # a nan fading (distance floored to 1 m, inf * 0 dB) among zeros: the
+    # energy rule serves each user up to the nan, which sorts last
+    ("--area", "2", "--pathloss", "1e308"): (
+        "error: invalid system: beta contains non-finite entries; " + _zero_links(
+            (0, 1), (0, 4), (0, 5), (0, 6), (1, 2), (1, 4), (1, 5), (1, 6), (2, 0), (2, 2)
+        ) + "; and 8 more serving-set violations\n"
+    ),
+}
+
+
 class TestGen:
     def test_writes_valid_instance(self, tmp_path, capsys):
         path = gen_instance(tmp_path)
@@ -88,13 +114,22 @@ class TestGen:
             run("gen", "--aps", 8, "--users", 4, "--out", tmp_path / "x.txt")
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flags", [("--rho-u", "1e308"), ("--area", "inf")])
+    @pytest.mark.parametrize("flags", list(REFUSED_GEN))
     def test_unusable_generator_input_is_validation_failure(self, tmp_path, capsys, flags):
         code = run("gen", "--aps", 8, "--users", 4, "--pilots", 2, *flags,
                    "--out", tmp_path / "x.txt")
         assert code == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == REFUSED_GEN[flags]
         assert not (tmp_path / "x.txt").exists()
+
+    def test_top_rule_beyond_float_range_takes_every_ap(self, tmp_path):
+        # N stays an int, so top:10**400 at M = 12 writes the top:12 file
+        files = []
+        for n in (10**400, 12):
+            files.append(tmp_path / f"top{len(files)}.txt")
+            assert run("gen", "--aps", 12, "--users", 5, "--pilots", 2, "--seed", 3,
+                       "--ap-rule", f"top:{n}", "--out", files[-1]) == 0
+        assert files[0].read_bytes() == files[1].read_bytes()
 
     @pytest.mark.parametrize("flags, message", [
         (("--eta-policy", "x"), "error: unknown eta policy 'x'"),

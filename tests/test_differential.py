@@ -10,8 +10,11 @@ head-times-tail surjection blocks against the grow-by-one blocks they
 replaced, block by block and bit for bit; the one-pass builder of W and
 the rate terms against the two separate builders it replaced, bit for
 bit; the one-pass ``uplink_rates`` against ``uplink_rate`` user by
-user, bit for bit; and the per-block integer graph side of exact
-``verify_measure_equality`` against ``mkp_objective`` on Fraction weights.
+user, bit for bit; the per-block integer graph side of exact
+``verify_measure_equality`` against ``mkp_objective`` on Fraction weights;
+the row-wise serving sets and the generator against the per-user
+selection loop, bit for bit; and ``validate_system``'s one-gather link
+check against the link-by-link loop, line for line.
 """
 
 import dataclasses
@@ -47,6 +50,7 @@ from pilotkit import (
     system_throughput,
     uplink_rate,
     uplink_rates,
+    validate_system,
     verify_measure_equality,
 )
 from pilotkit import solvers, system_model
@@ -502,3 +506,109 @@ def test_exact_graph_side_matches_fraction_sum_on_large_blocks(shape):
         singleton = PilotAssignment((0,) + tuple(1 + i % (tau - 1) for i in range(k - 1)), tau)
         for a in (random_feasible(s, 0), random_feasible(s, 1), singleton):
             _assert_graph_side_matches(s, a, pa_to_mkp(s, exact=True))
+
+
+# Fading values that tie exactly, underflow, vanish or overflow, mixed with
+# ordinary ones; a nan is what an unusable generator input leaves behind.
+# The second mix leaves most rows without a tie, but with several nans.
+FADING = [
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1.0, 2.0, 1e308, math.inf, math.nan])
+    | st.floats(0.0, 1e308),
+    st.floats(0.0, 1e308) | st.just(math.nan),
+]
+
+
+@st.composite
+def rows_and_rule(draw):
+    k, m = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    values = draw(st.sampled_from(FADING))
+    beta = np.array(draw(st.lists(values, min_size=k * m, max_size=k * m))).reshape(k, m)
+    rule = draw(st.one_of(
+        st.tuples(st.just("top"), st.integers(1, m + 3) | st.just(10**400)),
+        st.tuples(st.just("energy"), st.sampled_from([1.0, 1e-300, 5e-324]) | st.floats(0.0, 1.0,
+                  exclude_min=True)),
+    ))
+    return beta, rule
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_and_rule())
+def test_serving_sets_match_reference(case):
+    # equal fading goes to the lower AP index, as the per-user stable sort ranks it
+    beta, (kind, arg) = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = system_model._serving_sets(beta, kind, arg)
+        want = reference.serving_sets(beta, kind, arg)
+    assert got == want
+
+
+@pytest.mark.parametrize("eta_policy", ["full", "uniform"])
+@pytest.mark.parametrize("rule", ["energy:0.95", "energy:1", "energy:1e-300", "top:1", "top:7",
+                                  "top:" + "9" * 400])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (5, 12, 2), (20, 64, 4), (100, 200, 8), (30, 10, 3)])
+def test_generate_system_matches_reference(shape, rule, eta_policy):
+    k, m, tau = shape
+    cfg = GenerationConfig(seed=k + m, ap_selection_rule=rule, eta_policy=eta_policy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        s = generate_system(cfg, m, k, tau)
+    assert [str(w.message) for w in caught] == (
+        [f"{k} users with only {m} APs: atypical deployment"] if k > m else []
+    )
+    beta, gamma, eta, serving = reference.generate(cfg, m, k, tau)
+    assert s.beta.tobytes() == beta.tobytes()
+    assert s.gamma.tobytes() == gamma.tobytes()
+    assert s.eta.tobytes() == eta.tobytes()
+    assert s.serving_sets == serving
+
+
+def _link_system(beta, serving, exact_zeros):
+    """A system whose only violations can be on its serving links; the exact
+    payload, when asked for, is beta**2 but 0 on the serving links given."""
+    s = make_system(beta, serving, tau=1)
+    if exact_zeros is None:
+        return s
+    exact = [[Fraction(b) ** 2 for b in row] for row in s.beta.tolist()]
+    for k, m in exact_zeros:
+        exact[k][m] = Fraction(0)
+    return dataclasses.replace(s, beta_sq_exact=exact)
+
+
+LINK_CASES = {
+    "negative": ([[1.0, 1.0], [1.0, 1.0]], [(-1, 0), (1,)], None),
+    "beyond-int64": ([[1.0, 1.0], [1.0, 1.0]], [(0,), (1, 2**63, 2**70)], None),
+    "zero-beta": ([[0.0, 1.0], [1.0, 1.0]], [(0, 1), (0,)], None),
+    "zero-payload": ([[1.0, 2.0], [1.0, 1.0]], [(0, 1), (1,)], [(0, 1)]),
+    "empty": ([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]], [(0,), (), (1,)], None),
+    "over-ten": ([[0.0, 1.0]] * 8, [(), (0, 1, -5), (0, 7), (), (0,), (0, 2**64), (1,), ()],
+                 [(6, 1), (1, 1)]),
+    "valid": ([[1.0, 2.0], [3.0, 4.0]], [(0, 1), (1,)], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINK_CASES))
+def test_link_violations_match_reference(case):
+    s = _link_system(*LINK_CASES[case])
+    result = validate_system(s)
+    assert result.violations == tuple(reference.serving_link_violations(s))
+    assert result.ok == (case == "valid")
+    if case == "over-ten":
+        assert result.violations[-1] == "and 2 more serving-set violations"
+
+
+@st.composite
+def link_systems(draw):
+    k, m = draw(st.integers(1, 14)), draw(st.integers(1, 4))
+    beta = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=k * m,
+                                  max_size=k * m))).reshape(k, m)
+    index = st.integers(-2, m + 1) | st.sampled_from([-(2**63) - 1, 2**63, 2**70])
+    serving = draw(st.lists(st.lists(index, max_size=4), min_size=k, max_size=k))
+    links = sorted({(u, a) for u, aps in enumerate(serving) for a in aps if 0 <= a < m})
+    zeros = draw(st.none() | st.lists(st.sampled_from(links), unique=True) if links else st.none())
+    return _link_system(beta, serving, zeros)
+
+
+@settings(max_examples=200, deadline=None)
+@given(link_systems())
+def test_link_violations_match_reference_on_random_systems(s):
+    assert validate_system(s).violations == tuple(reference.serving_link_violations(s))

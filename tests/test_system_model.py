@@ -232,6 +232,15 @@ class TestGenerateSystem:
             captured = s.beta[k, list(aps)].sum()
             assert captured >= theta * s.beta[k].sum() * (1 - 1e-12)
 
+    def test_top_rule_beyond_float_range_takes_every_ap(self):
+        # N stays an int: any N >= M serves every user from every AP
+        huge, every = (
+            generate_system(GenerationConfig(seed=5, ap_selection_rule=f"top:{n}"), 9, 4, 2)
+            for n in (10**400, 9)
+        )
+        assert huge.serving_sets == every.serving_sets == ((*range(9),),) * 4
+        assert format_instance(huge) == format_instance(every)
+
     def test_pilots_exceed_users_rejected(self):
         with pytest.raises(ValueError, match="exceeds user count"):
             generate_system(GenerationConfig(seed=0), 8, 4, 5)
