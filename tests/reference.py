@@ -22,9 +22,7 @@ pass built both.
 ``serving_sets`` is the per-user AP selection loop of the generator
 (one sort, running sum and ``searchsorted`` per user) and ``generate``
 the generator's arrays built with it from a (K, M, 2) difference array,
-as before one row-wise pass picked every serving set;
-``serving_link_violations`` is the link-by-link check that
-``validate_system`` replaced with one gather.
+as before one row-wise pass picked every serving set.
 """
 
 import itertools
@@ -351,23 +349,3 @@ def generate(cfg, m_aps, k_users, tau_pilots):
     eta = np.full(k_users, 1.0 if cfg.eta_policy == "full" else 1.0 / k_users)
     return beta, gamma, eta, serving_sets(beta, *_parse_ap_rule(cfg.ap_selection_rule))
 
-
-def serving_link_violations(s):
-    """validate_system's serving-link lines, checked link by link: the first
-    ten in user order, then a count of the rest. s must pass every check
-    before the links (counts, shapes and the exact payload's shape)."""
-    exact = s.beta_sq_exact
-    links = []
-    for k, aps in enumerate(s.serving_sets):
-        if not aps:
-            links.append(f"serving set of user {k} is empty")
-            continue
-        for m in aps:
-            if not 0 <= m < s.m_aps:
-                links.append(f"serving set of user {k} references AP {m} out of range")
-            elif s.beta[k, m] <= 0:
-                links.append(f"zero coefficient on serving link: beta[{k}, {m}] = {s.beta[k, m]}")
-            elif exact is not None and exact[k, m] == 0:
-                links.append(f"zero exact beta square on serving link ({k}, {m})")
-    more = [f"and {len(links) - 10} more serving-set violations"] if len(links) > 10 else []
-    return links[:10] + more

@@ -13,8 +13,7 @@ bit; the one-pass ``uplink_rates`` against ``uplink_rate`` user by
 user, bit for bit; the per-block integer graph side of exact
 ``verify_measure_equality`` against ``mkp_objective`` on Fraction weights;
 the row-wise serving sets and the generator against the per-user
-selection loop, bit for bit; and ``validate_system``'s one-gather link
-check against the link-by-link loop, line for line.
+selection loop, bit for bit.
 """
 
 import dataclasses
@@ -50,7 +49,6 @@ from pilotkit import (
     system_throughput,
     uplink_rate,
     uplink_rates,
-    validate_system,
     verify_measure_equality,
 )
 from pilotkit import solvers, system_model
@@ -561,54 +559,3 @@ def test_generate_system_matches_reference(shape, rule, eta_policy):
     assert s.eta.tobytes() == eta.tobytes()
     assert s.serving_sets == serving
 
-
-def _link_system(beta, serving, exact_zeros):
-    """A system whose only violations can be on its serving links; the exact
-    payload, when asked for, is beta**2 but 0 on the serving links given."""
-    s = make_system(beta, serving, tau=1)
-    if exact_zeros is None:
-        return s
-    exact = [[Fraction(b) ** 2 for b in row] for row in s.beta.tolist()]
-    for k, m in exact_zeros:
-        exact[k][m] = Fraction(0)
-    return dataclasses.replace(s, beta_sq_exact=exact)
-
-
-LINK_CASES = {
-    "negative": ([[1.0, 1.0], [1.0, 1.0]], [(-1, 0), (1,)], None),
-    "beyond-int64": ([[1.0, 1.0], [1.0, 1.0]], [(0,), (1, 2**63, 2**70)], None),
-    "zero-beta": ([[0.0, 1.0], [1.0, 1.0]], [(0, 1), (0,)], None),
-    "zero-payload": ([[1.0, 2.0], [1.0, 1.0]], [(0, 1), (1,)], [(0, 1)]),
-    "empty": ([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]], [(0,), (), (1,)], None),
-    "over-ten": ([[0.0, 1.0]] * 8, [(), (0, 1, -5), (0, 7), (), (0,), (0, 2**64), (1,), ()],
-                 [(6, 1), (1, 1)]),
-    "valid": ([[1.0, 2.0], [3.0, 4.0]], [(0, 1), (1,)], []),
-}
-
-
-@pytest.mark.parametrize("case", sorted(LINK_CASES))
-def test_link_violations_match_reference(case):
-    s = _link_system(*LINK_CASES[case])
-    result = validate_system(s)
-    assert result.violations == tuple(reference.serving_link_violations(s))
-    assert result.ok == (case == "valid")
-    if case == "over-ten":
-        assert result.violations[-1] == "and 2 more serving-set violations"
-
-
-@st.composite
-def link_systems(draw):
-    k, m = draw(st.integers(1, 14)), draw(st.integers(1, 4))
-    beta = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=k * m,
-                                  max_size=k * m))).reshape(k, m)
-    index = st.integers(-2, m + 1) | st.sampled_from([-(2**63) - 1, 2**63, 2**70])
-    serving = draw(st.lists(st.lists(index, max_size=4), min_size=k, max_size=k))
-    links = sorted({(u, a) for u, aps in enumerate(serving) for a in aps if 0 <= a < m})
-    zeros = draw(st.none() | st.lists(st.sampled_from(links), unique=True) if links else st.none())
-    return _link_system(beta, serving, zeros)
-
-
-@settings(max_examples=200, deadline=None)
-@given(link_systems())
-def test_link_violations_match_reference_on_random_systems(s):
-    assert validate_system(s).violations == tuple(reference.serving_link_violations(s))

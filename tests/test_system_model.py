@@ -154,6 +154,26 @@ class TestValidateSystem:
         listed = tuple(f"zero coefficient on serving link: beta[{k}, 0] = 0.0" for k in range(10))
         assert validate_system(s).violations == listed + more
 
+    def test_serving_link_violations_in_user_order(self):
+        # indices below 0 and at 2**63 or more are reported, not raised;
+        # the exact payload's zeros are checked on links with nonzero beta
+        s = make_system([[0.0, 1.0]] * 6, [(), (0, 1, -5), (0, 7), (), (0,), (1, 2**64, 2**63)], tau=1)
+        exact = [[Fraction(b) ** 2 for b in row] for row in s.beta.tolist()]
+        exact[1][1] = exact[5][1] = Fraction(0)
+        assert validate_system(dataclasses.replace(s, beta_sq_exact=exact)).violations == (
+            "serving set of user 0 is empty",
+            "serving set of user 1 references AP -5 out of range",
+            "zero coefficient on serving link: beta[1, 0] = 0.0",
+            "zero exact beta square on serving link (1, 1)",
+            "zero coefficient on serving link: beta[2, 0] = 0.0",
+            "serving set of user 2 references AP 7 out of range",
+            "serving set of user 3 is empty",
+            "zero coefficient on serving link: beta[4, 0] = 0.0",
+            "zero exact beta square on serving link (5, 1)",
+            "serving set of user 5 references AP 9223372036854775808 out of range",
+            "and 1 more serving-set violations",
+        )
+
     @pytest.mark.parametrize("field", ["m_aps", "k_users", "tau_pilots", "tau_c"])
     def test_non_integer_count_is_a_violation(self, field):
         s = make_system([[1.0], [1.0]], [(0,), (0,)], tau=1)
