@@ -221,12 +221,8 @@ def parse_partition(text: str) -> Partition:
     return Partition(*_parse_labels(text, PARTITION_MAGIC, "vertices", "parts"))
 
 
-def _read(path) -> str:
-    return Path(path).read_text()
-
-
 def read_instance(path) -> CfMmimoSystem:
-    return parse_instance(_read(path))
+    return parse_instance(Path(path).read_text())
 
 
 def write_instance(path, s: CfMmimoSystem) -> None:
@@ -234,7 +230,7 @@ def write_instance(path, s: CfMmimoSystem) -> None:
 
 
 def read_graph(path) -> WeightedGraph:
-    return parse_graph(_read(path))
+    return parse_graph(Path(path).read_text())
 
 
 def write_graph(path, g: WeightedGraph) -> None:
@@ -242,7 +238,7 @@ def write_graph(path, g: WeightedGraph) -> None:
 
 
 def read_assignment(path) -> PilotAssignment:
-    return parse_assignment(_read(path))
+    return parse_assignment(Path(path).read_text())
 
 
 def write_assignment(path, a: PilotAssignment) -> None:
@@ -250,7 +246,7 @@ def write_assignment(path, a: PilotAssignment) -> None:
 
 
 def read_partition(path) -> Partition:
-    return parse_partition(_read(path))
+    return parse_partition(Path(path).read_text())
 
 
 def write_partition(path, p: Partition) -> None:

@@ -172,7 +172,7 @@ class ContaminationReport:
     """Objective value with its per-pair and per-user breakdown.
 
     per_pair maps each co-pilot pair (i, j), i < j, to its symmetric
-    weight; total is their sum. per_user[k] sums the symmetric weights of
+    weight; total is their sum, the objective. per_user[k] sums those of
     all pairs involving k, so the per-user vector counts every pair twice
     and total equals half its sum.
     """
@@ -193,13 +193,11 @@ def contamination_report(s: CfMmimoSystem, a: PilotAssignment) -> ContaminationR
     """Evaluate the objective and keep the pairwise breakdown."""
     check_assignment(s, a)
     w = interference_matrix(s)
-    ii, jj = _co_pilot_pairs(np.asarray(a.pilot_of))
-    per_pair: dict[tuple[int, int], float] = {}
-    per_user = [0.0] * s.k_users
-    total = 0.0
-    for i, j, wij in zip(ii.tolist(), jj.tolist(), w[ii, jj].tolist()):
-        per_pair[(i, j)] = wij
-        per_user[i] += wij
-        per_user[j] += wij
-        total += wij
-    return ContaminationReport(total=total, per_pair=per_pair, per_user=tuple(per_user))
+    labels = np.asarray(a.pilot_of)
+    ii, jj = _co_pilot_pairs(labels)
+    per_pair = dict(zip(zip(ii.tolist(), jj.tolist()), w[ii, jj].tolist()))
+    # Row k adds k's co-pilots in index order, as a loop over the pairs
+    # does; the +0.0 terms between them change no nonnegative sum.
+    with np.errstate(over="ignore"):
+        per_user = np.cumsum(np.where(labels[:, None] == labels, w, 0.0), axis=1)[:, -1]
+    return ContaminationReport(co_pilot_sum(w, labels), per_pair, tuple(per_user.tolist()))

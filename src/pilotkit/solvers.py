@@ -74,10 +74,10 @@ class SolveReport:
     """Solver output, for pilot assignment and Min-k-Partition alike.
 
     On a system, objective always equals ``contamination_objective`` of the
-    reported assignment and throughput equals ``system_throughput``. A graph
-    solve (``brute_force_partition``) reports its partition as the
-    assignment whose pilot labels are the block labels, its own partition
-    objective, and throughput None.
+    reported assignment and throughput equals ``system_throughput``; ``of``
+    builds such a report. A graph solve (``brute_force_partition``) builds
+    its own: its partition as the assignment whose pilot labels are the
+    block labels, its partition objective, and throughput None.
     """
 
     assignment: PilotAssignment
@@ -90,21 +90,15 @@ class SolveReport:
 
     @classmethod
     def of(
-        cls, s: Optional[CfMmimoSystem], a: PilotAssignment, solver_name: str, t0: float,
+        cls, s: CfMmimoSystem, a: PilotAssignment, solver_name: str, t0: float,
         iterations: int = 0, certificate: str = "heuristic", exact: bool = False,
-        objective: Optional[Value] = None,
     ) -> "SolveReport":
-        """Score a on s and time the solve from t0, a perf_counter reading.
-
-        Every solver builds its report here. The objective (in rational
-        arithmetic when exact) and the throughput are recomputed. A graph
-        solve passes s=None and its objective instead.
+        """Score a on s (its objective in rational arithmetic when exact) and
+        time the solve from t0, a perf_counter reading.
         """
-        if s is not None:
-            objective = contamination_objective(s, a, exact=exact)
         return cls(
-            a, objective, None if s is None else system_throughput(s, a), solver_name,
-            iterations, time.perf_counter() - t0, certificate,
+            a, contamination_objective(s, a, exact=exact), system_throughput(s, a),
+            solver_name, iterations, time.perf_counter() - t0, certificate,
         )
 
 
@@ -138,17 +132,18 @@ def _extend(prefix: np.ndarray, used: np.ndarray, need: int):
 def _surjection_blocks(n: int, k: int):
     """Every surjective labeling of n items with k labels, in lexicographic order.
 
-    Yields (n, rows) int8 arrays of _BLOCK labelings, one labeling per
-    column, all full but the last. A labeling is a head of n - t labels
-    and a tail of t, t the longest whose k**t labelings fit in a block
-    and at most its bit length (np.indices takes an axis per tail item);
-    the tails are tabulated once, in lexicographic order. Heads grow one
-    item at a time, each by every label, in increasing order, that still
-    leaves enough items to use the labels it lacks. Then each head is
-    followed by every tail that uses all the labels it lacks, in tail
-    order. So no non-surjective labeling is built, and per surjection the
-    work is one copy of its n labels and at most (n - t) * k / min(t, k)!
-    tried head extensions (every head has that many completions or more).
+    Yields (n, rows) int8 arrays, one labeling per column, each of whole
+    heads with all their tails, 1 to under 2 * _BLOCK labelings. A labeling
+    is a head of n - t labels and a tail of t, t the longest whose k**t
+    labelings fit in _BLOCK and at most its bit length (np.indices takes
+    an axis per tail item); the tails are tabulated once, in lexicographic
+    order. Heads grow one item at a time, each by every label, in
+    increasing order, that still leaves enough items to use the labels it
+    lacks. Then each head is followed by every tail that uses all the
+    labels it lacks, in tail order. So no non-surjective labeling is
+    built, and per surjection the work is one copy of its n labels and at
+    most (n - t) * k / min(t, k)! tried head extensions (every head has
+    that many completions or more).
     int8 holds any label count a budget can afford: 128 labels take 128!.
     """
     t = next(t for t in range(min(n, _BLOCK.bit_length()), -1, -1) if k**t <= _BLOCK)
@@ -185,19 +180,9 @@ def _surjection_blocks(n: int, k: int):
             yield from grow(*_extend(prefix[:, lo:lo + step], used[lo:lo + step], need))
 
     # grow calls itself, a reference cycle, so it must not hold the tail
-    # tables, which would then outlive the call. Merge the pieces of about
-    # a block that each head chunk yields into full blocks.
-    chunks = grow(np.zeros((0, 1), np.int8), np.zeros((1, k), bool))
-    pending, size = [], 0
-    for piece in (piece for chunk in chunks for piece in expand(*chunk)):
-        pending.append(piece)
-        size += piece.shape[1]
-        while size >= _BLOCK:
-            merged = np.hstack(pending)
-            yield merged[:, :_BLOCK]
-            pending, size = [merged[:, _BLOCK:]], size - _BLOCK
-    if size:
-        yield np.hstack(pending)
+    # tables, which would then outlive the call.
+    for chunk in grow(np.zeros((0, 1), np.int8), np.zeros((1, k), bool)):
+        yield from expand(*chunk)
 
 
 def _min_over_surjections(n: int, k: int, pairs, budget: int):
@@ -278,7 +263,7 @@ def brute_force_partition(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> Sol
     pairs = [(i, j, w) for (i, j), w in sorted(g.weights.items())]
     value, best, visited = _min_over_surjections(g.n_vertices, g.k_parts, pairs, budget)
     a = PilotAssignment(best, g.k_parts)
-    return SolveReport.of(None, a, "brute", t0, visited, "exact", objective=value)
+    return SolveReport(a, value, None, "brute", visited, time.perf_counter() - t0, "exact")
 
 
 def decide(s: CfMmimoSystem, q, budget: int = DEFAULT_BUDGET) -> bool:

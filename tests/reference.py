@@ -10,8 +10,10 @@ against an independent evaluation.
 ``min_over_surjections`` is the tuple-by-tuple enumeration the numpy
 block enumerator of the exact solvers replaced, ``surjection_blocks``
 that enumerator as it was before heads were multiplied by a table of
-tails (it grows every prefix one item at a time, down to the last), and
-``random_feasible`` the plain rejection sampler. ``interference_exact`` and
+tails (it grows every prefix one item at a time, down to the last, and
+cuts the labelings into full blocks), and ``random_feasible`` the plain
+rejection sampler. ``contamination_report`` is the pair loop that summed
+the report's total and per-user values. ``interference_exact`` and
 ``co_pilot_sum_exact`` are rational mode on ``Fraction``s, built
 from the Fraction beta squares of ``exact_beta_squares``, which the
 integer row form replaced; they are the independent check of the exact
@@ -33,7 +35,6 @@ from fractions import Fraction
 import numpy as np
 
 from pilotkit import PilotAssignment
-from pilotkit.solvers import _extend
 from pilotkit.system_model import PATHLOSS_REF_DB, _gamma_from_beta, _parse_ap_rule
 
 
@@ -78,6 +79,15 @@ def min_over_surjections(n, k, pairs):
     return value, best, visited
 
 
+def _extend(prefix, used, need):
+    """Each (d, r) prefix extended by every label after which it uses
+    `need` labels or more, in lexicographic order, with the labels used."""
+    parent, label = np.nonzero(used.sum(axis=1, keepdims=True) + ~used >= need)
+    grown = used[parent]
+    grown[np.arange(parent.size), label] = True
+    return np.vstack((prefix[:, parent], label.astype(np.int8))), grown
+
+
 def surjection_blocks(n, k, block):
     """Every surjective labeling of n items with k labels, in lexicographic
     order, in (n, rows) int8 blocks of `block` labelings, all full but the
@@ -103,6 +113,24 @@ def surjection_blocks(n, k, block):
             pending, size = [merged[:, block:]], size - block
     if size:
         yield np.hstack(pending)
+
+
+def contamination_report(w, labels):
+    """(total, per_pair, per_user) of a float W, one addition per co-pilot
+    pair in lexicographic order, as ``contamination_report`` summed them
+    before it took the objective's sum and a masked row sum."""
+    per_pair = {}
+    per_user = [0.0] * len(labels)
+    total = 0.0
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            if labels[i] == labels[j]:
+                wij = float(w[i, j])
+                per_pair[(i, j)] = wij
+                per_user[i] += wij
+                per_user[j] += wij
+                total += wij
+    return total, per_pair, tuple(per_user)
 
 
 def random_feasible(k, tau, seed, draws):

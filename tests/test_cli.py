@@ -457,10 +457,13 @@ class TestVerify:
         assert "not surjective" in capsys.readouterr().err
 
     def test_mixed_modes_are_usage_error(self, tmp_path):
+        # each flag alone, and all four: neither the instance pair nor the graph pair
         inst = gen_instance(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            run("verify", "--instance", inst)
-        assert exc.value.code == 2
+        flags = {"--instance": inst, "--assignment": inst, "--graph": inst, "--partition": inst}
+        for chosen in (["--instance"], ["--graph"], ["--assignment"], list(flags)):
+            with pytest.raises(SystemExit) as exc:
+                run("verify", *(x for flag in chosen for x in (flag, flags[flag])))
+            assert exc.value.code == 2
 
 
 class TestBench:

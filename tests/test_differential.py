@@ -7,7 +7,8 @@ matrix, objective and scalar weight), local search, worst-user, the
 uplink rate and the exact solvers' surjection enumerator against the
 Fraction and loop versions in ``reference.py``, which they replaced; the
 head-times-tail surjection blocks against the grow-by-one blocks they
-replaced, block by block and bit for bit; the one-pass builder of W and
+replaced, joined and bit for bit; ``contamination_report`` against the
+pair loop it replaced, bit for bit; the one-pass builder of W and
 the rate terms against the two separate builders it replaced, bit for
 bit; the one-pass ``uplink_rates`` against ``uplink_rate`` user by
 user, bit for bit; the per-block integer graph side of exact
@@ -36,6 +37,7 @@ from pilotkit import (
     brute_force_exact,
     coloring_to_mkp,
     contamination_objective,
+    contamination_report,
     count_surjective_assignments,
     generate_system,
     greedy_worst_user,
@@ -392,6 +394,16 @@ def test_enumerator_matches_reference_on_coloring_graphs(block):
             _assert_same_as_reference(7, k, pairs)
 
 
+def _assert_whole_heads(blocks, n, k, block):
+    """Every block is int8, nonempty and under 2 * block wide, and no head
+    (the first n - t labels, t the enumerator's tail length at this
+    block) has its tails split across two blocks."""
+    assert all(b.dtype == np.int8 and b.shape[0] == n for b in blocks)
+    assert all(1 <= b.shape[1] < 2 * block for b in blocks)
+    head = n - next(t for t in range(min(n, block.bit_length()), -1, -1) if k**t <= block)
+    assert all(not np.array_equal(a[:head, -1], b[:head, 0]) for a, b in zip(blocks, blocks[1:]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), data=st.data())
 def test_blocks_hold_every_surjection_once_in_order(n, data):
@@ -399,8 +411,7 @@ def test_blocks_hold_every_surjection_once_in_order(n, data):
     block = data.draw(st.integers(1, 40), label="block")
     with mock.patch.object(solvers, "_BLOCK", block):
         blocks = list(solvers._surjection_blocks(n, k))
-    assert all(b.dtype == np.int8 and b.shape[0] == n for b in blocks)
-    assert all(b.shape[1] == block for b in blocks[:-1]) and 1 <= blocks[-1].shape[1] <= block
+    _assert_whole_heads(blocks, n, k, block)
     labelings = [tuple(col) for b in blocks for col in b.T.tolist()]
     # strictly increasing, all surjective, and as many as there are
     # surjections: every surjection exactly once
@@ -410,12 +421,12 @@ def test_blocks_hold_every_surjection_once_in_order(n, data):
 
 
 def _assert_blocks_match_reference(n, k):
+    """Whole-head blocks that, joined, are the reference's full blocks joined."""
     got = list(solvers._surjection_blocks(n, k))
-    want = list(reference.surjection_blocks(n, k, solvers._BLOCK))
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype == np.int8
-        assert np.array_equal(g, w)
+    _assert_whole_heads(got, n, k, solvers._BLOCK)
+    want = np.hstack(list(reference.surjection_blocks(n, k, solvers._BLOCK)))
+    assert want.dtype == np.int8
+    assert np.array_equal(np.hstack(got), want)
 
 
 @pytest.mark.parametrize("n, k", [(10, 3), (8, 5), (14, 2), (9, 8)])
@@ -430,6 +441,43 @@ def test_blocks_match_reference_at_block_100():
         for n in range(1, 8):
             for k in range(1, n + 1):
                 _assert_blocks_match_reference(n, k)
+
+
+# Systems beside the generated ones: co-pilot sums of 1e308 weights that
+# overflow to inf, one user, and tau = K, where no two users share a pilot.
+REPORT_EDGES = {
+    "overflow": lambda: (
+        mkp_to_pa(WeightedGraph(4, 2, {(0, 1): 1e308, (0, 2): 1e308, (1, 2): 1e308, (0, 3): 1.0})),
+        PilotAssignment((0, 0, 0, 1), 2),
+    ),
+    "one-user": lambda: (make_system([[1.0]], [(0,)], tau=1), PilotAssignment((0,), 1)),
+    "no-co-pilot": lambda: (_system((6, 16, 6), 1), PilotAssignment((3, 0, 5, 1, 4, 2), 6)),
+}
+
+
+@pytest.mark.parametrize("case", CASES + sorted(REPORT_EDGES))
+def test_contamination_report_matches_reference(case):
+    if case in REPORT_EDGES:
+        s, a = REPORT_EDGES[case]()
+        assignments = [a]
+    else:
+        s = _system(*case)
+        assignments = [random_feasible(s, case[1]), random_feasible(s, case[1] + 1)]
+    for a in assignments:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = contamination_report(s, a)
+            objective = contamination_objective(s, a)
+        w = interference_matrix(s)
+        total, per_pair, per_user = reference.contamination_report(w, a.pilot_of)
+        values = [report.total, *report.per_pair.values(), *report.per_user]
+        assert all(type(v) is float for v in values)
+        assert list(report.per_pair) == list(per_pair)
+        want = [total, *per_pair.values(), *per_user]
+        assert [v.hex() for v in values] == [v.hex() for v in want]
+        assert report.total == objective
+    if case == "overflow":
+        assert report.total == report.per_user[0] == math.inf
 
 
 def test_brute_force_visits_every_surjection_at_k9_tau8():

@@ -435,6 +435,11 @@ class TestGraphsEqual:
         g2 = WeightedGraph(3, 2, {(1, 2): 1.0})
         assert graphs_equal(g1, g2)
 
+    def test_one_different_weight(self):
+        g1 = WeightedGraph(3, 2, {(0, 1): 1, (1, 2): 2})
+        g2 = WeightedGraph(3, 2, {(0, 1): 1, (1, 2): 3})
+        assert not graphs_equal(g1, g2)
+
     def test_parts_checked(self):
         g1 = WeightedGraph(3, 2, {(0, 1): 1})
         g2 = WeightedGraph(3, 3, {(0, 1): 1})
