@@ -74,10 +74,8 @@ def cmd_gen(args) -> int:
     s = generate_system(_generation_config(args, args.seed), args.aps, args.users, args.pilots)
     fileio.write_instance(args.out, s)
     mean_serving = sum(len(a) for a in s.serving_sets) / s.k_users
-    print(
-        f"wrote {args.out}: M={s.m_aps} K={s.k_users} tau={s.tau_pilots} "
-        f"mean|A(k)|={mean_serving:.2f}"
-    )
+    print(f"wrote {args.out}: M={s.m_aps} K={s.k_users} tau={s.tau_pilots} "
+          f"mean|A(k)|={mean_serving:.2f}")
     return EXIT_OK
 
 
@@ -153,14 +151,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _report_row(instance: str, rep: SolveReport) -> list[str]:
-    return [
-        instance,
-        rep.solver_name,
-        repr(float(rep.objective)),
-        repr(float(rep.throughput)),
-        f"{rep.elapsed_seconds:.6f}",
-        rep.optimality_certificate,
-    ]
+    return [instance, rep.solver_name, repr(float(rep.objective)), repr(float(rep.throughput)),
+            f"{rep.elapsed_seconds:.6f}", rep.optimality_certificate]
 
 
 def _write_csv(path, header: list[str], rows: list[list[str]]) -> None:
@@ -172,8 +164,7 @@ def _write_csv(path, header: list[str], rows: list[list[str]]) -> None:
 
 def cmd_solve(args) -> int:
     s = fileio.read_instance(args.instance)
-    rows = []
-    rate_rows = []
+    rows, rate_rows = [], []
     for name in args.solver:
         rep = SOLVERS[name](s, args.seed, args)
         rows.append(_report_row(args.instance, rep))
@@ -182,9 +173,7 @@ def cmd_solve(args) -> int:
         if args.assignment_out:
             fileio.write_assignment(args.assignment_out, rep.assignment)
         if args.pairs_out:
-            Path(args.pairs_out).write_text(
-                contamination_report(s, rep.assignment).to_csv()
-            )
+            Path(args.pairs_out).write_text(contamination_report(s, rep.assignment).to_csv())
         print(
             f"{name}: objective={float(rep.objective):.6g} "
             f"throughput={rep.throughput:.6g} [{rep.optimality_certificate}]"
@@ -222,16 +211,12 @@ def cmd_bench(args) -> int:
         s = generate_system(_generation_config(args, seed), args.aps, args.users, args.pilots)
         instance = f"gen-{seed}"
         reports = {name: SOLVERS[name](s, seed, args) for name in args.solvers}
-        for name in args.solvers:
-            rows.append(_report_row(instance, reports[name]))
+        rows += [_report_row(instance, reports[name]) for name in args.solvers]
         if "brute" in reports:
             opt = float(reports["brute"].objective)
             for name, rs in ratios.items():
                 obj = float(reports[name].objective)
-                if opt == 0.0:
-                    rs.append(1.0 if obj <= 1e-12 else float("inf"))
-                else:
-                    rs.append(obj / opt)
+                rs.append(obj / opt if opt else (1.0 if obj <= 1e-12 else float("inf")))
     rows.sort(key=lambda r: (r[0], r[1]))
     _write_csv(args.out, REPORT_HEADER, rows)
     print(f"wrote {args.out}: {len(rows)} rows over {args.count} instances")
@@ -313,11 +298,8 @@ def main(argv=None) -> int:
     parser = _shared_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
-        has_instance = bool(args.instance or args.assignment)
-        has_graph = bool(args.graph or args.partition)
-        if has_instance == has_graph or (
-            has_instance and not (args.instance and args.assignment)
-        ) or (has_graph and not (args.graph and args.partition)):
+        given = [bool(x) for x in (args.instance, args.assignment, args.graph, args.partition)]
+        if given not in ([True, True, False, False], [False, False, True, True]):
             parser.error("verify wants --instance with --assignment, or --graph with --partition")
     if args.command == "solve" and len(args.solver) != 1:
         if args.assignment_out:

@@ -128,9 +128,7 @@ class Partition:
 def _co_block_weights(g: WeightedGraph, p: Partition) -> list[tuple[int, Weight]]:
     """(block, weight) of the edges inside a block, in sorted edge order."""
     if p.n_vertices != g.n_vertices:
-        raise ValueError(
-            f"partition covers {p.n_vertices} vertices, graph has {g.n_vertices}"
-        )
+        raise ValueError(f"partition covers {p.n_vertices} vertices, graph has {g.n_vertices}")
     if p.n_blocks != g.k_parts:
         raise ValueError(
             f"block count mismatch: partition has {p.n_blocks}, graph wants {g.k_parts}"

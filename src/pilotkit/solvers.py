@@ -24,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .objective import co_pilot_sum, contamination_objective, interference_pairs
-from .reductions import WeightedGraph, pa_to_mkp
+from .reductions import WeightedGraph, _as_float, pa_to_mkp
 from .system_model import (
     CfMmimoSystem,
     PilotAssignment,
@@ -88,14 +88,16 @@ class SolveReport:
     elapsed_seconds: float
     optimality_certificate: str  # "exact" | "heuristic"
 
+    def __post_init__(self) -> None:
+        if self.optimality_certificate == "exact" and not self.objective < math.inf:
+            raise ValueError(f"optimum {self.objective} is not finite: its float sum overflowed")
+
     @classmethod
     def of(
         cls, s: CfMmimoSystem, a: PilotAssignment, solver_name: str, t0: float,
         iterations: int = 0, certificate: str = "heuristic", exact: bool = False,
     ) -> "SolveReport":
-        """Score a on s (its objective in rational arithmetic when exact) and
-        time the solve from t0, a perf_counter reading.
-        """
+        """Score a on s (rationally when exact), timed from t0, a perf_counter reading."""
         return cls(
             a, contamination_objective(s, a, exact=exact), system_throughput(s, a),
             solver_name, iterations, time.perf_counter() - t0, certificate,
@@ -185,17 +187,19 @@ def _surjection_blocks(n: int, k: int):
         yield from expand(*chunk)
 
 
-def _min_over_surjections(n: int, k: int, pairs, budget: int):
-    """Minimize the same-label pair-weight sum over surjective labelings.
+def _min_over_surjections(n: int, k: int, pairs, budget: int, exact=None, rel=2.0**-52):
+    """Minimize the exact same-label pair-weight sum over surjective labelings.
 
-    pairs is an iterable of (i, j, w). Zero weights are dropped. When
-    every remaining w is an int or a Fraction the sums run over integers
-    (the weights rescaled by their common denominator) and the value is a
-    Fraction; otherwise it is a float. Returns (best value, best labeling,
-    surjections visited); the labeling is the lexicographically smallest
-    optimum because candidates are enumerated in lexicographic order and
-    replaced only on strict improvement. Raises ValueError when the float
-    optimum is not finite (its sum overflowed), rather than certify it.
+    pairs holds (i, j, w), w an int, Fraction or float. The exact weights
+    are these, or those ``exact()`` returns, each within rel * w' + tiny of
+    the float w' in pairs, tiny = rel * 2**-1018. Returns (the optimum's
+    float total, the lexicographically smallest exact optimum, surjections
+    visited). A float pass sums each labeling's weights, rounded to floats
+    (inf beyond float range), in pair order; E bounds a total's distance to
+    its exact sum: the sum's gamma_P (P nonzero pairs), rel and tiny. A
+    total that overflowed has an exact sum beyond any finite cut's bound.
+    Partitions, one labeling each, within 2E of the least total are kept;
+    if more than one is, exact integer sums decide.
     """
     budget = _index(budget, ValueError, "budget")
     total = count_surjective_assignments(n, k)
@@ -203,33 +207,48 @@ def _min_over_surjections(n: int, k: int, pairs, budget: int):
         raise BudgetExceededError(
             f"exact enumeration needs {total} assignments, budget is {budget}"
         )
-    pairs = [(i, j, w) for i, j, w in pairs if w != 0]
-    rational = all(isinstance(w, (int, Fraction)) for _, _, w in pairs)
-    if rational:
-        ints, denom = _over_common_denominator((w.numerator, w.denominator) for *_, w in pairs)
-        pairs = [(i, j, w) for (i, j, _), w in zip(pairs, ints)]
-    # float64 totals when every weight is a float; otherwise (integers, or
-    # mixed types) Python objects, so each addition is Python's own.
-    floats = not rational and all(isinstance(w, float) for _, _, w in pairs)
-    best_val = None
-    best = None
-    visited = 0
+    floats = [(i, j, _as_float(w)) for i, j, w in pairs if w != 0]
+    grow = _up(1.0 + 8.0 * _up(_gamma(len(floats)) + rel))
+    slack = _up(len(floats) * rel * 2.0**-1016)
+
+    def cut(t):  # t + 2E rounded up, for any gamma_P + rel <= 1/4
+        return _up(_up(t * grow) + slack)
+
+    best, kept, visited = math.inf, [], 0
     for labels in _surjection_blocks(n, k):
-        totals = np.zeros(labels.shape[1], dtype=float if floats else object)
+        totals = np.zeros(labels.shape[1])
         # One masked addition per pair, in pair order: each labeling's total
         # is the sequence of additions a scalar loop over the pairs makes.
-        with np.errstate(over="ignore"):  # an overflowed optimum is refused below
-            for i, j, w in pairs:
+        with np.errstate(over="ignore"):  # an overflowed total is inf
+            for i, j, w in floats:
                 np.add(totals, w, out=totals, where=labels[i] == labels[j])
-        b = int(np.argmin(totals))  # the block's first minimum
-        if best_val is None or totals[b] < best_val:
-            best_val = totals[b]
-            best = tuple(labels[:, b].tolist())
         visited += labels.shape[1]
-    value: Value = Fraction(best_val, denom) if rational else float(best_val)
-    if not value < math.inf:
-        raise ValueError(f"optimum {value} is not finite: the float weight sums overflow")
-    return value, best, visited
+        # only a block that starts with label 0 holds partitions' first labelings
+        low = float(totals.min()) if labels[0, 0] == 0 else math.inf
+        if low <= cut(best):
+            best = min(best, low)
+            near = np.flatnonzero(totals <= cut(best))
+            # a partition's first labeling: its running maximum label starts at 0, steps by 1
+            top = np.maximum.accumulate(labels[:, near], axis=0)
+            near = near[(top[0] == 0) & (top[1:] - top[:-1] <= 1).all(axis=0)]
+            kept.append((labels[:, near], totals[near]))
+    labels, totals = np.hstack([c for c, _ in kept]), np.concatenate([t for _, t in kept])
+    near = np.flatnonzero(totals <= cut(best))
+    if near.size > 1:  # near-ties: exact sums decide, the first least winning
+        ratios = [(i, j, Fraction(w)) for i, j, w in (exact() if exact else pairs) if w != 0]
+        ints, _ = _over_common_denominator(w.as_integer_ratio() for *_, w in ratios)
+        ints = [(i, j, w) for (i, j, _), w in zip(ratios, ints)]
+        sums = [sum(w for i, j, w in ints if c[i] == c[j]) for c in labels[:, near].T.tolist()]
+        near = near[sums.index(min(sums)):]
+    return float(totals[near[0]]), tuple(labels[:, near[0]].tolist()), visited
+
+
+def _w_error(s: CfMmimoSystem) -> float:
+    """rel for the float W against the exact W of the same beta: a term of
+    ``_user_terms``' sums is a division, a square, up to a - 1 additions (a
+    the largest serving set) and the two sides' addition, gamma_{2a+6} of
+    the float entry; 2a underflows, 2**-1075 each, stay below tiny."""
+    return _gamma(2 * max(map(len, s.serving_sets)) + 6)
 
 
 def brute_force_exact(
@@ -239,14 +258,19 @@ def brute_force_exact(
 
     Visits exactly tau! * S2(K, tau) surjective assignments (S2 is the
     Stirling number of the second kind) and reports the lexicographically
-    smallest optimum. Raises BudgetExceededError, with the required
-    count, when the space is larger than budget; never truncates
-    silently. ``exact=True`` evaluates in rational arithmetic. Raises
-    ValueError on an invalid system instead of certifying a value of it.
+    smallest optimum of the exact W (rational mode's, from the payload if
+    any). The labels do not depend on ``exact``, which picks the objective:
+    a float, refused with ValueError if its sum overflows, or a Fraction.
+    Raises BudgetExceededError, with the required count, when the space is
+    larger than budget, and ValueError on an invalid system.
     """
     t0 = time.perf_counter()
-    pairs = interference_pairs(s, exact=exact)
-    _, best, visited = _min_over_surjections(s.k_users, s.tau_pilots, pairs, budget)
+    payload = s.beta_sq_exact is not None  # then it, not beta, gives the exact W: round that
+    pairs = interference_pairs(s, exact=payload)
+    _, best, visited = _min_over_surjections(
+        s.k_users, s.tau_pilots, pairs, budget, lambda: interference_pairs(s, exact=True),
+        2.0**-52 if payload else _w_error(s),
+    )
     a = PilotAssignment(best, s.tau_pilots)
     return SolveReport.of(s, a, "brute", t0, visited, "exact", exact=exact)
 
@@ -254,30 +278,26 @@ def brute_force_exact(
 def brute_force_partition(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Exact Min-k-Partition by enumeration of surjective labelings.
 
-    Exact whenever the graph's weights are int or Fraction (they are
-    rescaled to integers internally); float weights are summed as floats.
-    The partition is reported as the assignment of its block labels, with
-    throughput None.
+    Reports the lexicographically smallest optimum of the exact weights,
+    ints beyond float range included, as the assignment of its block labels
+    with throughput None. Its objective is a Fraction when every weight is
+    an int or Fraction, else the float sum of the weights rounded to
+    floats, in edge order, refused with ValueError if it overflows.
     """
     t0 = time.perf_counter()
     pairs = [(i, j, w) for (i, j), w in sorted(g.weights.items())]
     value, best, visited = _min_over_surjections(g.n_vertices, g.k_parts, pairs, budget)
+    if all(isinstance(w, (int, Fraction)) for *_, w in pairs):
+        value = sum((Fraction(w) for i, j, w in pairs if best[i] == best[j]), Fraction(0))
     a = PilotAssignment(best, g.k_parts)
     return SolveReport(a, value, None, "brute", visited, time.perf_counter() - t0, "exact")
 
 
 def decide(s: CfMmimoSystem, q, budget: int = DEFAULT_BUDGET) -> bool:
-    """Decision form: is the optimal contamination at most q?
-
-    Runs in rational arithmetic whenever the system carries an exact
-    beta-square payload, so threshold comparisons on reduced instances
-    are not at the mercy of square-root rounding.
-    """
+    """Decision form: is the exact optimal contamination, a Fraction, at most q?"""
     if not q >= 0:
         raise ValueError(f"threshold must be nonnegative, got {q}")
-    exact = s.beta_sq_exact is not None
-    report = brute_force_exact(s, budget=budget, exact=exact)
-    return report.objective <= q
+    return brute_force_exact(s, budget=budget, exact=True).objective <= q
 
 
 def greedy_feasible(s: CfMmimoSystem) -> PilotAssignment:

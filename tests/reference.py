@@ -8,7 +8,9 @@ weight from ``pair_weight``, the scalar definition of w(k, j) that
 memoised matrix, so the differential tests compare the matrix code
 against an independent evaluation.
 ``min_over_surjections`` is the tuple-by-tuple enumeration the numpy
-block enumerator of the exact solvers replaced, ``surjection_blocks``
+block enumerator of the exact solvers replaced, scoring by exact sums
+(the solvers' float filter and exact decision must agree with it), and
+``float_total`` the float total of one labeling; ``surjection_blocks``
 that enumerator as it was before heads were multiplied by a table of
 tails (it grows every prefix one item at a time, down to the last, and
 cuts the labelings into full blocks), and ``random_feasible`` the plain
@@ -52,15 +54,15 @@ def pair_weight(s, k, j):
 def min_over_surjections(n, k, pairs):
     """Every labeling in itertools.product order, non-surjective ones skipped.
 
-    Same contract as ``solvers._min_over_surjections`` without the budget:
-    returns (best value, best labeling, surjections visited).
+    Scores each labeling by the exact sum of its weights, whatever their
+    types (ints over the weights' common denominator), and keeps the first
+    least. Returns (the best exact total, a Fraction, the best labeling,
+    surjections visited): ``solvers._min_over_surjections``'s labeling and
+    count, without the budget.
     """
-    pairs = [(i, j, w) for i, j, w in pairs if w != 0]
-    rational = all(isinstance(w, (int, Fraction)) for _, _, w in pairs)
-    denom = 1
-    if rational:
-        denom = math.lcm(*(Fraction(w).denominator for _, _, w in pairs))
-        pairs = [(i, j, int(Fraction(w) * denom)) for i, j, w in pairs]
+    pairs = [(i, j, Fraction(w)) for i, j, w in pairs if w != 0]
+    denom = math.lcm(*(w.denominator for _, _, w in pairs))
+    pairs = [(i, j, int(w * denom)) for i, j, w in pairs]
     best_val = None
     best = None
     visited = 0
@@ -75,8 +77,17 @@ def min_over_surjections(n, k, pairs):
         if best_val is None or v < best_val:
             best_val = v
             best = cand
-    value = Fraction(best_val, denom) if rational else float(best_val)
-    return value, best, visited
+    return Fraction(best_val, denom), best, visited
+
+
+def float_total(pairs, labels):
+    """A labeling's same-label weights, each rounded to a float, added in
+    pair order: the float total of ``solvers._min_over_surjections``."""
+    total = 0.0
+    for i, j, w in pairs:
+        if labels[i] == labels[j]:
+            total += float(w)
+    return total
 
 
 def _extend(prefix, used, need):

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -26,6 +27,7 @@ from pilotkit import (
     generate_system,
     greedy_feasible,
     greedy_worst_user,
+    interference_matrix,
     local_search_move,
     mkp_objective,
     mkp_to_pa,
@@ -36,12 +38,24 @@ from pilotkit import (
 )
 from pilotkit import solvers
 from pilotkit.cli import SOLVERS
+from pilotkit.objective import _exact_rows
 from pilotkit.solvers import DEFAULT_BUDGET
+from pilotkit.system_model import derived
 
 import reference
 from conftest import flat_system, make_system, small_random_system
 
 TRIANGLE_EDGES = [(0, 1), (0, 2), (1, 2)]
+
+
+def near_tie_system(payload=False):
+    """One AP and tau = 2: the float W ranks (0, 0, 1, 1) first, while the
+    exact W of the same beta ranks (0, 1, 0, 1) 4.1e-24 lower."""
+    beta = [[1.0], [1 + 3 * 2.0**-52], [1 + 2.0**-52], [1 + 5 * 2.0**-32]]
+    s = make_system(beta, [(0,)] * 4, tau=2)
+    if payload:  # the exact squares of the same beta
+        s = dataclasses.replace(s, beta_sq_exact=[[Fraction(b) ** 2 for b in row] for row in beta])
+    return s
 
 
 class TestCounting:
@@ -123,6 +137,34 @@ class TestBruteForce:
         # rational mode sums the same weights exactly
         assert brute_force_exact(mkp_to_pa(g, exact=True), exact=True).objective == 3 * Fraction(1e308)
 
+    @pytest.mark.parametrize("payload", [False, True])
+    def test_near_tie_gets_the_exact_optimum_in_both_modes(self, payload):
+        s = near_tie_system(payload)
+        want = PilotAssignment((0, 1, 0, 1), 2)
+        for exact in (False, True):
+            assert brute_force_exact(s, exact=exact).assignment == want
+        other = contamination_objective(s, PilotAssignment((0, 0, 1, 1), 2), exact=True)
+        assert 0 < other - contamination_objective(s, want, exact=True) < Fraction(1, 10**23)
+
+    def test_payload_not_beta_gives_the_exact_w(self):
+        # beta**2 is 2**-1074 for user 0 and 2**-1072 for the others, and the
+        # payload 2**-1072 for all, within validation's 2**-1072 absolute
+        # slack: the float W charges user 0's pairs 4.25, the exact W 2
+        beta = [[2.0**-537], [2.0**-536], [2.0**-536], [2.0**-536]]
+        s = dataclasses.replace(
+            make_system(beta, [(0,)] * 4, tau=2), beta_sq_exact=[[Fraction(1, 2**1072)]] * 4
+        )
+        for exact in (False, True):
+            assert brute_force_exact(s, exact=exact).assignment.pilot_of == (0, 0, 1, 1)
+
+    def test_labels_do_not_depend_on_the_mode(self):
+        systems = [flat_system(6, 3), near_tie_system(), near_tie_system(payload=True)]
+        systems += [small_random_system(seed, k_users=7, tau=tau) for seed in range(4) for tau in (2, 3)]
+        for s in systems:
+            float_report, exact_report = brute_force_exact(s), brute_force_exact(s, exact=True)
+            assert float_report.assignment == exact_report.assignment
+            assert type(exact_report.objective) is Fraction
+
     def test_no_assignment_beats_reported_optimum(self):
         import itertools
 
@@ -158,6 +200,58 @@ class TestBruteForcePartition:
         g2 = WeightedGraph(3, 2, g.weights)
         assert brute_force_partition(g2).objective == 1e308
 
+    def test_dyadic_near_tie_of_five_vertices(self):
+        # the float totals rank (0, 0, 1, 1, 1) first, at 0.5 + 2**-52; it
+        # sums exactly to 0.5 + 6 * 2**-54, and (0, 1, 0, 1, 0) to 0.5 + 5 * 2**-54
+        e = 2.0**-54
+        g = WeightedGraph(5, 2, {
+            (0, 1): 0.5, (0, 2): 0.0, (0, 3): e, (0, 4): 0.5, (1, 2): 0.5,
+            (1, 3): 3 * e, (1, 4): 1.0, (2, 3): e, (2, 4): 2 * e, (3, 4): 3 * e,
+        })
+        report = brute_force_partition(g)
+        assert report.assignment.pilot_of == (0, 1, 0, 1, 0)
+        # its float total, 0.5 + 3 * 2**-54 rounded up to 0.5 + 4 * 2**-54, then 2 * 2**-54 more
+        assert report.objective == 0.5 + 6 * e
+
+    def test_float_tie_broken_by_the_exact_sums(self):
+        # (0, 0, 1, 1) and (0, 1, 0, 1) both total 1.0 in floats; only the
+        # second is exactly 1
+        g = WeightedGraph(4, 2, {
+            (0, 1): 1.0, (0, 2): 1.0, (0, 3): 5.0, (1, 2): 5.0, (1, 3): 0.0, (2, 3): 2.0**-60,
+        })
+        assert brute_force_partition(g).assignment.pilot_of == (0, 1, 0, 1)
+
+    def test_rounding_accumulated_over_many_pairs(self):
+        # (0, 0, 0, 1, 1, 0, 1) adds seven 2**-54 weights after a 0.5 and
+        # rounds each away: its float total is 0.5, three units in the last
+        # place below (0, 1, 1, 0, 1, 0, 1)'s 0.5 + 6 * 2**-54, and its exact
+        # sum is 2**-54 above it
+        e = 2.0**-54
+        weights = {
+            (0, 1): e, (0, 2): 0.5, (0, 3): e, (0, 4): 2 * e, (0, 5): e, (0, 6): 0.5,
+            (1, 2): e, (1, 3): 0.5, (1, 5): e, (1, 6): e, (2, 3): 0.5, (2, 4): 2 * e,
+            (2, 5): e, (2, 6): 0.5, (3, 4): e, (3, 6): e, (4, 5): 0.5, (5, 6): 2 * e,
+        }
+        report = brute_force_partition(WeightedGraph(7, 2, weights))
+        assert report.assignment.pilot_of == (0, 1, 1, 0, 1, 0, 1)
+        assert report.objective == 0.5 + 6 * e
+
+    def test_weights_beyond_float_range_fall_back_to_exact_sums(self):
+        # every weight rounds to inf, so every float total is inf and all
+        # partitions go to the exact decision: (0, 0, 1, 1) is one more
+        # than the two tied optima, of which (0, 1, 0, 1) comes first
+        big = 10**400
+        g = WeightedGraph(4, 2, {e: big for e in itertools.combinations(range(4), 2)} | {(0, 1): big + 1})
+        report = brute_force_partition(g)
+        assert report.assignment.pilot_of == (0, 1, 0, 1)
+        assert type(report.objective) is Fraction and report.objective == 2 * big
+        # a finite optimum beside totals that overflow
+        g2 = WeightedGraph(4, 2, {(0, 1): big, (2, 3): big, (0, 2): 1})
+        assert brute_force_partition(g2).assignment.pilot_of == (0, 1, 1, 0)
+        # with a float weight the objective is a float sum, and it overflows
+        with pytest.raises(ValueError, match="not finite"):
+            brute_force_partition(WeightedGraph(4, 2, {**g.weights, (2, 3): 0.5}))
+
     def test_numpy_integer_weights_sum_exactly(self):
         big = np.int64(2**62)
         g = WeightedGraph(3, 1, {(0, 1): big, (0, 2): big, (1, 2): big})
@@ -186,6 +280,54 @@ class TestBruteForcePartition:
             brute_force_partition(g, budget=1000)
 
 
+class TestFloatWeightBound:
+    """Every entry w' of the float W is within rel * w' + rel * 2**-1018 of
+    the exact W that ``_exact_rows`` gives for the same beta, rel being
+    ``_w_error``'s, and an entry that overflowed has an exact one within
+    rel of the float overflow threshold 2**1024 - 2**970 or above it."""
+
+    @staticmethod
+    def assert_within_bound(s):
+        w = interference_matrix(s)
+        n, lcms = derived(s, _exact_rows)
+        rel = solvers._w_error(s)
+        tiny = Fraction(rel) / 2**1018
+        for k, j in zip(*np.triu_indices(s.k_users, 1)):
+            exact = Fraction(n[k, j], lcms[k]) + Fraction(n[j, k], lcms[j])
+            got = float(w[k, j])
+            if got == math.inf:
+                assert exact * (1 + Fraction(rel)) >= 2**1024 - 2**970
+            else:
+                assert abs(Fraction(got) - exact) <= Fraction(rel) * Fraction(got) + tiny
+
+    @pytest.mark.parametrize("rule", ["energy:0.95", "top:4", "top:40"])
+    def test_generated_systems(self, rule):
+        for seed in range(3):
+            self.assert_within_bound(small_random_system(seed, m_aps=40, k_users=10, tau=3, rule=rule))
+
+    @pytest.mark.parametrize("low2", [-500, -540, -560, -1000])
+    def test_fading_across_many_scales(self, low2):
+        # beta from 2**low2 to 1, log-uniform: ratios and squares underflow
+        # to subnormals or zero, or overflow, on many entries
+        rng = np.random.default_rng(-low2)
+        for _ in range(8):
+            beta = 2.0 ** rng.uniform(low2, 0, (6, 12))
+            serving = [rng.choice(12, rng.integers(1, 13), replace=False) for _ in range(6)]
+            self.assert_within_bound(make_system(beta, serving, tau=2))
+
+    def test_ratios_near_the_underflow_threshold(self):
+        # each user's own two APs have beta 1 and the others' about 2**-537,
+        # so every squared ratio, and every entry of W, is a few 2**-1074
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            beta = 2.0 ** rng.uniform(-538, -536, (4, 8))
+            for k in range(4):
+                beta[k, 2 * k:2 * k + 2] = 1.0
+            s = make_system(beta, [(2 * k, 2 * k + 1) for k in range(4)], tau=2)
+            assert 0 < interference_matrix(s)[0, 1] < 2.0**-1022
+            self.assert_within_bound(s)
+
+
 class TestDecide:
     def test_triangle_thresholds(self):
         s = mkp_to_pa(coloring_to_mkp(3, TRIANGLE_EDGES, 2), exact=True)
@@ -197,6 +339,16 @@ class TestDecide:
         c5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
         s = mkp_to_pa(coloring_to_mkp(5, c5, 3), exact=True)
         assert decide(s, 0) is True
+
+    @pytest.mark.parametrize("payload", [False, True])
+    def test_near_tie_decided_exactly(self, payload):
+        s = near_tie_system(payload)
+        optimum = contamination_objective(s, PilotAssignment((0, 1, 0, 1), 2), exact=True)
+        below = float(optimum)
+        if below >= optimum:
+            below = math.nextafter(below, 0.0)
+        assert decide(s, optimum) is True
+        assert decide(s, below) is False
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
