@@ -131,13 +131,10 @@ def format_instance(s: CfMmimoSystem) -> str:
     out.append(f"pilots {s.tau_pilots}")
     out.append(f"rho_u {_fmt_float(s.rho_u)}")
     out.append(f"tau_c {s.tau_c}")
-    out.append("eta " + " ".join(_fmt_float(e) for e in s.eta))
-    for aps in s.serving_sets:
-        out.append("serve " + " ".join(str(m) for m in aps))
-    for row in s.beta:
-        out.append("beta " + " ".join(_fmt_float(b) for b in row))
-    for row in s.gamma:
-        out.append("gamma " + " ".join(_fmt_float(g) for g in row))
+    out.append("eta " + " ".join(map(repr, s.eta.tolist())))
+    out.extend("serve " + " ".join(map(str, aps)) for aps in s.serving_sets)
+    for key, table in (("beta", s.beta), ("gamma", s.gamma)):
+        out.extend(f"{key} " + " ".join(map(repr, row)) for row in table.tolist())
     return "\n".join(out) + "\n"
 
 

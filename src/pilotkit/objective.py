@@ -99,14 +99,17 @@ def _exact_rows(s: CfMmimoSystem) -> tuple[np.ndarray, tuple[int, ...]]:
     return n, tuple(lcms)
 
 
-def _interference_exact(s: CfMmimoSystem) -> np.ndarray:
-    # W[k, j] = N[k, j] / L[k] + N[j, k] / L[j], normalised once.
+def _exact_pairs(s: CfMmimoSystem, ii: list[int], jj: list[int]) -> list[tuple[int, int]]:
+    # (numerator, denominator) of W[i, j] = N[i, j] / L[i] + N[j, i] / L[j], unnormalised
     n, lcms = derived(s, _exact_rows)
+    return [(n[i, j] * lcms[j] + n[j, i] * lcms[i], lcms[i] * lcms[j]) for i, j in zip(ii, jj)]
+
+
+def _interference_exact(s: CfMmimoSystem) -> np.ndarray:
+    # Every pair weight of _exact_pairs, normalised once.
+    ii, jj = (x.tolist() for x in np.triu_indices(s.k_users, 1))
     w = np.full((s.k_users, s.k_users), Fraction(0), dtype=object)
-    for k, lk in enumerate(lcms):
-        for j in range(k + 1, s.k_users):
-            lj = lcms[j]
-            w[k, j] = w[j, k] = Fraction(n[k, j] * lj + n[j, k] * lk, lk * lj)
+    w[ii, jj] = w[jj, ii] = [Fraction(*r) for r in _exact_pairs(s, ii, jj)]
     w.setflags(write=False)
     return w
 

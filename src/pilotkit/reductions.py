@@ -24,13 +24,14 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .objective import contamination_objective, interference_matrix
+from .objective import _co_pilot_pairs, _exact_pairs, contamination_objective, interference_matrix
 from .system_model import (
     CfMmimoSystem,
     PilotAssignment,
     _gamma_from_beta,
     _index,
     _over_common_denominator,
+    _require_valid,
     _surjective,
 )
 
@@ -138,10 +139,13 @@ def _co_block_weights(g: WeightedGraph, p: Partition) -> list[tuple[int, Weight]
 
 
 def mkp_objective(g: WeightedGraph, p: Partition) -> Weight:
-    """Total weight of edges with both endpoints in the same block."""
+    """Total weight of edges inside blocks; inf when a mixed-type sum leaves float range."""
     total: Weight = 0
-    for _, w in _co_block_weights(g, p):
-        total += w
+    try:
+        for _, w in _co_block_weights(g, p):
+            total += w
+    except OverflowError:
+        return math.inf
     return total
 
 
@@ -259,21 +263,29 @@ def verify_measure_equality(
     block's own least common denominator (float mode sums in sorted edge
     order, as mkp_objective does). ``graph`` overrides the reduction
     output, which lets callers probe corrupted reductions; by default the
-    graph is derived from the system. A value beyond float range reports
-    as inf in ``abs_diff`` (and prints so in the CLI).
+    graph is derived from the system, in rational mode only its co-block
+    weights. A value beyond float range reports as inf in ``abs_diff``
+    (and prints so in the CLI).
     """
-    if graph is None:
-        graph = pa_to_mkp(s, exact=exact)
+    if graph is None and not exact:
+        graph = pa_to_mkp(s)
+    elif graph is None:
+        _require_valid(s)  # the system check before the assignment's, as in pa_to_mkp
     m_pa = contamination_objective(s, a, exact=exact)
     p = pa_solution_to_mkp(a)
     if exact:
         # the exact values of the co-block weights, floats too, as integers
-        # over one denominator per block: one lcm over every block's
-        # weights would grow about tau times longer
+        # over one denominator per block (one lcm over every block's weights
+        # would grow about tau times longer); without a graph, only the
+        # co-pilot pairs' weights are built, from the exact rows
         buckets: list[list[tuple[int, int]]] = [[] for _ in range(p.n_blocks)]
-        for b, w in _co_block_weights(graph, p):
-            n, d = w.as_integer_ratio() if isinstance(w, float) else (w.numerator, w.denominator)
-            buckets[b].append((int(n), int(d)))
+        if graph is None:
+            ii, jj = (x.tolist() for x in _co_pilot_pairs(np.asarray(a.pilot_of)))
+            for i, ratio in zip(ii, _exact_pairs(s, ii, jj)):
+                buckets[a.pilot_of[i]].append(ratio)
+        else:
+            for b, w in _co_block_weights(graph, p):
+                buckets[b].append(w.as_integer_ratio())
         m_mkp: Weight = sum(Fraction(sum(n), d) for n, d in map(_over_common_denominator, buckets))
     else:
         m_mkp = mkp_objective(graph, p)

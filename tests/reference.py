@@ -27,6 +27,9 @@ pass built both.
 (one sort, running sum and ``searchsorted`` per user) and ``generate``
 the generator's arrays built with it from a (K, M, 2) difference array,
 as before one row-wise pass picked every serving set.
+``format_instance`` is the instance writer that formatted one numpy
+scalar at a time, before each row was written with one ``map(repr, ...)``
+over its ``tolist()``.
 """
 
 import itertools
@@ -37,6 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from pilotkit import PilotAssignment
+from pilotkit.fileio import INSTANCE_MAGIC
 from pilotkit.system_model import PATHLOSS_REF_DB, _gamma_from_beta, _parse_ap_rule
 
 
@@ -388,3 +392,22 @@ def generate(cfg, m_aps, k_users, tau_pilots):
     eta = np.full(k_users, 1.0 if cfg.eta_policy == "full" else 1.0 / k_users)
     return beta, gamma, eta, serving_sets(beta, *_parse_ap_rule(cfg.ap_selection_rule))
 
+
+
+def format_instance(s):
+    """The text of ``fileio.format_instance``, each float as repr(float(x))."""
+
+    def fmt(x):
+        return repr(float(x))
+
+    out = [INSTANCE_MAGIC, f"aps {s.m_aps}", f"users {s.k_users}", f"pilots {s.tau_pilots}"]
+    out.append(f"rho_u {fmt(s.rho_u)}")
+    out.append(f"tau_c {s.tau_c}")
+    out.append("eta " + " ".join(fmt(e) for e in s.eta))
+    for aps in s.serving_sets:
+        out.append("serve " + " ".join(str(m) for m in aps))
+    for row in s.beta:
+        out.append("beta " + " ".join(fmt(b) for b in row))
+    for row in s.gamma:
+        out.append("gamma " + " ".join(fmt(g) for g in row))
+    return "\n".join(out) + "\n"

@@ -12,7 +12,10 @@ pair loop it replaced, bit for bit; the one-pass builder of W and
 the rate terms against the two separate builders it replaced, bit for
 bit; the one-pass ``uplink_rates`` against ``uplink_rate`` user by
 user, bit for bit; the per-block integer graph side of exact
-``verify_measure_equality`` against ``mkp_objective`` on Fraction weights;
+``verify_measure_equality`` against ``mkp_objective`` on Fraction weights,
+and its co-block pairs read from the exact rows against the full exact
+graph, field by field; the row-wise instance writer against the
+per-element one, byte for byte;
 the row-wise serving sets and the generator against the per-user
 selection loop, bit for bit.
 """
@@ -54,7 +57,8 @@ from pilotkit import (
     uplink_rates,
     verify_measure_equality,
 )
-from pilotkit import solvers, system_model
+from pilotkit import objective, solvers, system_model
+from pilotkit.fileio import format_instance
 from pilotkit.objective import interference_pairs
 
 import reference
@@ -528,14 +532,18 @@ def _fraction_graph_side(g, labels):
 def _assert_graph_side_matches(s, a, graph, passes=True):
     """The graph side of exact verify equals the Fraction sum, on a passed
     graph and on the derived one; the certificate passes on the derived
-    graph, and on the passed one when ``passes``."""
+    graph, and on the passed one when ``passes``. Without a graph, verify
+    reports what the full exact graph gives, field by field."""
+    derived = verify_measure_equality(s, a, exact=True)
+    full = pa_to_mkp(s, exact=True)
     for rep, g, want in (
         (verify_measure_equality(s, a, exact=True, graph=graph), graph, passes),
-        (verify_measure_equality(s, a, exact=True), pa_to_mkp(s, exact=True), True),
+        (derived, full, True),
     ):
         assert type(rep.m_mkp) is Fraction
         assert rep.m_mkp == _fraction_graph_side(g, a.pilot_of)
         assert rep.passed is want is (rep.m_pa == rep.m_mkp)
+    assert derived == verify_measure_equality(s, a, exact=True, graph=full)
 
 
 GRAPH_SIDE_WEIGHTS = dict(GRAPH_WEIGHTS, int64=lambda r: np.int64(r.randint(0, 10**15)))
@@ -572,6 +580,46 @@ def test_exact_graph_side_matches_fraction_sum_on_systems(shape):
             # the float graph's weights are rounded, so it fails exact verify
             _assert_graph_side_matches(s, a, pa_to_mkp(s), passes=shape[2] == shape[0])
             _assert_graph_side_matches(s, a, pa_to_mkp(s, exact=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=wide_systems(), seed=st.integers(0, 2**32 - 1))
+def test_exact_graph_side_matches_fraction_sum_on_wide_systems(s, seed):
+    _assert_graph_side_matches(s, random_feasible(s, seed), pa_to_mkp(s, exact=True))
+
+
+@pytest.mark.parametrize("dummy_aps", [0, 1, 4])
+def test_exact_graph_side_matches_fraction_sum_on_payload_systems(dummy_aps):
+    for seed in range(6):
+        n = 2 + seed % 5
+        g = _graph(n, min(n, 1 + seed % 3), seed, GRAPH_WEIGHTS["mixed"])
+        s = mkp_to_pa(g, n_dummy_aps=dummy_aps, exact=True)
+        _assert_graph_side_matches(s, random_feasible(s, seed), g)
+    # tau = K, where no pair shares a block, and a single user: an exact zero
+    for g, labels in (
+        (_graph(5, 5, 0, GRAPH_WEIGHTS["mixed"]), (4, 2, 0, 1, 3)),
+        (WeightedGraph(1, 1, {}), (0,)),
+    ):
+        s, a = mkp_to_pa(g, n_dummy_aps=dummy_aps, exact=True), PilotAssignment(labels, g.k_parts)
+        _assert_graph_side_matches(s, a, g)
+        rep = verify_measure_equality(s, a, exact=True)
+        assert type(rep.m_mkp) is Fraction and rep.m_mkp == Fraction(0) and rep.passed
+
+
+def test_derived_exact_verify_builds_only_co_block_weights(monkeypatch):
+    # a fresh system: neither the exact pair matrix nor a graph is built
+    s = _system((20, 64, 4), 7)
+    a = local_search_move(s, random_feasible(s, 7)).assignment
+
+    def refuse(self):
+        raise AssertionError("verify built a WeightedGraph")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(WeightedGraph, "__post_init__", refuse)
+        rep = verify_measure_equality(s, a, exact=True)
+    assert rep.passed and type(rep.m_mkp) is Fraction
+    assert objective._interference_exact not in system_model._DERIVED[s]
+    assert rep == verify_measure_equality(s, a, exact=True, graph=pa_to_mkp(s, exact=True))
 
 
 @pytest.mark.parametrize("shape", [(30, 64, 3), (40, 100, 4)])
@@ -640,3 +688,21 @@ def test_generate_system_matches_reference(shape, rule, eta_policy):
     assert s.eta.tobytes() == eta.tobytes()
     assert s.serving_sets == serving
 
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 1), (6, 16, 2), (20, 64, 4), (50, 100, 5)])
+def test_format_instance_matches_reference(shape):
+    for seed in (1, 2):
+        for rule in ("energy:0.95", "top:1"):
+            s = _system(shape, seed, rule)
+            assert format_instance(s) == reference.format_instance(s)
+
+
+def test_format_instance_matches_reference_on_extreme_floats():
+    # subnormal, smallest normal-range and near-overflow values, plus zeros
+    values = [[5e-324, 1e-310, 1e308], [1e308, 0.0, 5e-324], [1e-310, 1.0, 0.1 + 0.2]]
+    s = make_system(values, [(0,), (1, 2), (0, 2)], tau=2, gamma=values,
+                    eta=[5e-324, 1e-310, 1e308], rho_u=1e308)
+    text = format_instance(s)
+    assert text == reference.format_instance(s)
+    assert "5e-324" in text and "1e-310" in text and "1e+308" in text

@@ -200,6 +200,20 @@ class TestMkpObjective:
         v = mkp_objective(g, Partition((0, 0, 1), 2))
         assert v == Fraction(1, 3)
 
+    @pytest.mark.parametrize("huge", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+    @pytest.mark.parametrize("huge_first", [True, False], ids=["huge-first", "float-first"])
+    def test_mixed_sum_beyond_float_range_is_inf(self, huge, huge_first):
+        # an int or Fraction beyond float range meets a float, in either order
+        first, second = (huge, 0.5) if huge_first else (0.5, huge)
+        g = WeightedGraph(3, 1, {(0, 1): first, (1, 2): second})
+        assert mkp_objective(g, Partition((0, 0, 0), 1)) == math.inf
+
+    @pytest.mark.parametrize("huge", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+    def test_sums_of_one_exact_type_stay_exact(self, huge):
+        g = WeightedGraph(3, 1, {(0, 1): huge, (1, 2): huge})
+        v = mkp_objective(g, Partition((0, 0, 0), 1))
+        assert type(v) is type(huge) and v == 2 * huge
+
 
 class TestPaToMkp:
     def test_unit_pair(self, unit_pair_system):
@@ -387,6 +401,13 @@ class TestVerifyMeasureEquality:
     def test_infeasible_assignment_rejected(self, unit_pair_system):
         with pytest.raises(InfeasibleAssignmentError):
             verify_measure_equality(unit_pair_system, PilotAssignment((0,), 1))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_invalid_system_refused_before_the_assignment(self, exact):
+        # zero fading on a serving link, and an assignment of the wrong length
+        s = make_system([[0.0, 1.0], [1.0, 1.0]], [(0,), (1,)], tau=1)
+        with pytest.raises(ValueError, match="invalid system"):
+            verify_measure_equality(s, PilotAssignment((0, 0, 0), 1), exact=exact)
 
 
 class TestChromaticAgreement:
