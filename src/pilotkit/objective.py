@@ -19,15 +19,17 @@ mode from ``system_model._user_terms``, the one pass over each user's
 serving set that also builds the rate terms. With ``exact=True`` every
 function runs in rational arithmetic, as the reduction verifier needs,
 on Python integers: each user's one-sided terms share one denominator,
-so the memoised integer rows give the exact matrix (one Fraction per
-entry) and objective (one per user).
+so the memoised integer squares and scales give the exact matrix (one
+Fraction per entry) and objective (one integer per user, one total).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from operator import mul
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from .system_model import (
     CfMmimoSystem,
     PilotAssignment,
     _integer_beta_squares,
-    _over_common_denominator,
     _user_terms,
     check_assignment,
     derived,
@@ -80,36 +81,50 @@ def pairwise_interference(
     return w if exact else float(w)
 
 
-def _exact_rows(s: CfMmimoSystem) -> tuple[np.ndarray, tuple[int, ...]]:
-    # The one-sided terms in rational mode, on integers. With P the integer
-    # beta squares and L[k] = lcm(P[k, m] for m in A(k)), every term
-    # P[j, m] / P[k, m] of row k is a multiple of 1 / L[k], so
-    # one_sided[k, j] = N[k, j] / L[k] with N[k] = P[:, A(k)] @ (L[k] // P[k, A(k)]).
-    # Returns (N, L); N's diagonal is zero, as no user interferes with itself.
-    p = _integer_beta_squares(s)
-    n = np.empty((s.k_users, s.k_users), dtype=object)
-    lcms = []
-    for k, aps in enumerate(s.serving_sets):
-        idx = list(aps)
-        scale, lk = _over_common_denominator((1, x) for x in p[k, idx].tolist())
-        n[k] = p[:, idx].dot(np.array(scale, dtype=object))
-        lcms.append(lk)
-    np.fill_diagonal(n, 0)
-    n.setflags(write=False)
-    return n, tuple(lcms)
+def _exact_rows(s: CfMmimoSystem) -> tuple[tuple, tuple[int, ...], tuple]:
+    # Rational mode on integers: with P the integer beta squares, L[k] =
+    # lcm(P[k, m] for m in A(k)) and scale[k] = L[k] // P[k, A(k)], user k's
+    # one-sided term to user j is N[k, j] / L[k], N[k, j] = P[j, A(k)] . scale[k].
+    # Returns (P's rows, L, scale); _exact_pairs builds N only pair by pair.
+    p = tuple(map(tuple, _integer_beta_squares(s).tolist()))
+    own = [[pk[m] for m in aps] for pk, aps in zip(p, s.serving_sets)]
+    lcms = tuple(math.lcm(*row) for row in own)
+    return p, lcms, tuple(tuple(lk // x for x in row) for lk, row in zip(lcms, own))
 
 
-def _exact_pairs(s: CfMmimoSystem, ii: list[int], jj: list[int]) -> list[tuple[int, int]]:
-    # (numerator, denominator) of W[i, j] = N[i, j] / L[i] + N[j, i] / L[j], unnormalised
-    n, lcms = derived(s, _exact_rows)
-    return [(n[i, j] * lcms[j] + n[j, i] * lcms[i], lcms[i] * lcms[j]) for i, j in zip(ii, jj)]
+def _exact_pairs(s: CfMmimoSystem, ii: list[int], jj: list[int]) -> tuple[list[int], Iterator]:
+    # For the pairs (i, j): N[i, j] of each, then N[j, i] of each, and, built
+    # as read, each W[i, j] = N[i, j] / L[i] + N[j, i] / L[j] as a ratio
+    p, lcms, scale = derived(s, _exact_rows)
+    a = s.serving_sets
+    n = [sum(map(mul, map(p[j].__getitem__, a[i]), scale[i])) for i, j in zip(ii + jj, jj + ii)]
+    ratios = zip(ii, jj, n, n[len(ii):])
+    return n, ((x * lcms[j] + y * lcms[i], lcms[i] * lcms[j]) for i, j, x, y in ratios)
+
+
+def _exact_terms(s: CfMmimoSystem, labels: np.ndarray) -> tuple[list[int], tuple[int, ...]]:
+    # (r, L): k's terms to its co-pilots add up to r[k] / L[k], summed by AP:
+    # r[k] = scale[k] . (Q[c, A(k)] - P[k, A(k)]), Q[c] P's column sums on pilot c
+    p, lcms, scale = derived(s, _exact_rows)
+    q = [[sum(col) for col in zip(*(p[k] for k in np.flatnonzero(labels == c)))]
+         for c in range(s.tau_pilots)]
+    return [sum(map(mul, [q[c][m] - pk[m] for m in aps], sk))
+            for pk, c, aps, sk in zip(p, labels.tolist(), s.serving_sets, scale)], lcms
+
+
+def _exact_total(ratios) -> Fraction:
+    # summed as a balanced tree: each gcd runs on two addends, not a running total
+    terms = [Fraction(n, d) for n, d in ratios] or [Fraction(0)]
+    while len(terms) > 1:
+        terms = [x + y for x, y in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+    return terms[0]
 
 
 def _interference_exact(s: CfMmimoSystem) -> np.ndarray:
-    # Every pair weight of _exact_pairs, normalised once.
+    # Every pair weight from _exact_pairs, normalised once.
     ii, jj = (x.tolist() for x in np.triu_indices(s.k_users, 1))
     w = np.full((s.k_users, s.k_users), Fraction(0), dtype=object)
-    w[ii, jj] = w[jj, ii] = [Fraction(*r) for r in _exact_pairs(s, ii, jj)]
+    w[ii, jj] = w[jj, ii] = [Fraction(*r) for r in _exact_pairs(s, ii, jj)[1]]
     w.setflags(write=False)
     return w
 
@@ -156,18 +171,14 @@ def contamination_objective(
     """Total contamination of a feasible assignment (lower is better).
 
     A float, or with ``exact=True`` a Fraction: the sum over users k of
-    one-sided terms to k's co-pilots, one integer row sum over the common
-    denominator of k's terms per user.
+    one-sided terms to k's co-pilots, one integer per user over the common
+    denominator of k's terms, taken from the column sums of each pilot.
     """
     check_assignment(s, a)
     labels = np.asarray(a.pilot_of)
     if not exact:
         return co_pilot_sum(interference_matrix(s), labels)
-    n, lcms = derived(s, _exact_rows)
-    same = labels[:, None] == labels[None, :]
-    return sum(
-        (Fraction(row[mask].sum(), lk) for row, mask, lk in zip(n, same, lcms)), Fraction(0)
-    )
+    return _exact_total(zip(*_exact_terms(s, labels)))
 
 
 @dataclass(frozen=True)

@@ -24,15 +24,16 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .objective import _co_pilot_pairs, _exact_pairs, contamination_objective, interference_matrix
+from .objective import _co_pilot_pairs, _exact_pairs, _exact_terms, _exact_total
+from .objective import contamination_objective, interference_matrix
 from .system_model import (
     CfMmimoSystem,
     PilotAssignment,
     _gamma_from_beta,
     _index,
-    _over_common_denominator,
     _require_valid,
     _surjective,
+    check_assignment,
 )
 
 __all__ = [
@@ -126,23 +127,24 @@ class Partition:
         return len(self.block_of)
 
 
-def _co_block_weights(g: WeightedGraph, p: Partition) -> list[tuple[int, Weight]]:
-    """(block, weight) of the edges inside a block, in sorted edge order."""
+def _co_block_weights(g: WeightedGraph, p: Partition) -> list[Weight]:
+    """Weights of the vertex pairs inside a block, 0 for an absent edge, in
+    lexicographic pair order."""
     if p.n_vertices != g.n_vertices:
         raise ValueError(f"partition covers {p.n_vertices} vertices, graph has {g.n_vertices}")
     if p.n_blocks != g.k_parts:
         raise ValueError(
             f"block count mismatch: partition has {p.n_blocks}, graph wants {g.k_parts}"
         )
-    blocks = p.block_of
-    return [(blocks[i], w) for (i, j), w in sorted(g.weights.items()) if blocks[i] == blocks[j]]
+    ii, jj = _co_pilot_pairs(np.asarray(p.block_of))
+    return [g.weights.get(e, 0) for e in zip(ii.tolist(), jj.tolist())]
 
 
 def mkp_objective(g: WeightedGraph, p: Partition) -> Weight:
     """Total weight of edges inside blocks; inf when a mixed-type sum leaves float range."""
     total: Weight = 0
     try:
-        for _, w in _co_block_weights(g, p):
+        for w in _co_block_weights(g, p):
             total += w
     except OverflowError:
         return math.inf
@@ -257,37 +259,38 @@ def verify_measure_equality(
     """Certify that reducing (system, assignment) preserves the objective.
 
     Computes the contamination objective directly and the partition
-    objective of the reduced (graph, partition) pair, then compares:
-    within DEFAULT_REL_TOL in float mode, exactly in rational mode, where a
-    float weight counts at its exact value, summed per block over the
-    block's own least common denominator (float mode sums in sorted edge
-    order, as mkp_objective does). ``graph`` overrides the reduction
-    output, which lets callers probe corrupted reductions; by default the
-    graph is derived from the system, in rational mode only its co-block
-    weights. A value beyond float range reports as inf in ``abs_diff``
-    (and prints so in the CLI).
+    objective of the reduced (graph, partition) pair, then compares: within
+    DEFAULT_REL_TOL in float mode, summed as mkp_objective does, and in
+    rational mode exactly, term by term: each user's terms to its co-pilots,
+    summed by pair, must equal its term of the objective, summed by AP, and
+    each co-block pair's weight in a passed graph (its exact value; an absent
+    edge weighs 0) the exact pair weight. Equal terms give equal totals, so
+    one is summed; else the graph side is summed on its own. ``graph``
+    overrides the reduction output, which lets callers probe corrupted
+    reductions; by default rational mode builds only the co-block weights.
+    A value beyond float range reports as inf in ``abs_diff`` (and in the CLI).
     """
     if graph is None and not exact:
         graph = pa_to_mkp(s)
     elif graph is None:
         _require_valid(s)  # the system check before the assignment's, as in pa_to_mkp
-    m_pa = contamination_objective(s, a, exact=exact)
     p = pa_solution_to_mkp(a)
     if exact:
-        # the exact values of the co-block weights, floats too, as integers
-        # over one denominator per block (one lcm over every block's weights
-        # would grow about tau times longer); without a graph, only the
-        # co-pilot pairs' weights are built, from the exact rows
-        buckets: list[list[tuple[int, int]]] = [[] for _ in range(p.n_blocks)]
-        if graph is None:
-            ii, jj = (x.tolist() for x in _co_pilot_pairs(np.asarray(a.pilot_of)))
-            for i, ratio in zip(ii, _exact_pairs(s, ii, jj)):
-                buckets[a.pilot_of[i]].append(ratio)
-        else:
-            for b, w in _co_block_weights(graph, p):
-                buckets[b].append(w.as_integer_ratio())
-        m_mkp: Weight = sum(Fraction(sum(n), d) for n, d in map(_over_common_denominator, buckets))
+        check_assignment(s, a)
+        labels = np.asarray(a.pilot_of)
+        terms, lcms = _exact_terms(s, labels)
+        ii, jj = (x.tolist() for x in _co_pilot_pairs(labels))
+        n, w = _exact_pairs(s, ii, jj)
+        by_pair = [0] * s.k_users
+        for i, nij in zip(ii + jj, n):
+            by_pair[i] += nij
+        edges = w if graph is None else [x.as_integer_ratio() for x in _co_block_weights(graph, p)]
+        same = by_pair == terms and (graph is None or all(
+            x * d == b * y for (x, b), (y, d) in zip(edges, w)))
+        m_pa: Weight = _exact_total(zip(terms, lcms))
+        m_mkp: Weight = m_pa if same else _exact_total(edges)
     else:
+        m_pa = contamination_objective(s, a)
         m_mkp = mkp_objective(graph, p)
     # rational mode compares exact values, whose float() can overflow
     x, y = (m_pa, m_mkp) if exact else (_as_float(m_pa), _as_float(m_mkp))

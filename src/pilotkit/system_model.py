@@ -323,17 +323,18 @@ def _integer_beta_squares(s: CfMmimoSystem) -> np.ndarray:
     from every ratio of two entries of one column, which is all rational
     mode needs, so no Fraction is built. The values are the payload's
     numerators and denominators when present, otherwise each float's
-    ``as_integer_ratio``, squared.
+    ``as_integer_ratio``, squared; a float column's D_m, a power of two, by shifts.
     """
     if s.beta_sq_exact is not None:
         ratios = [[(x.numerator, x.denominator) for x in col] for col in s.beta_sq_exact.T]
-    else:
-        ratios = [
-            [(n * n, d * d) for n, d in map(float.as_integer_ratio, col)]
-            for col in s.beta.T.tolist()
-        ]
-    columns = [_over_common_denominator(col)[0] for col in ratios]
-    return np.array(columns, dtype=object).T
+        return np.array([_over_common_denominator(col)[0] for col in ratios], dtype=object).T
+    frac, exp = np.frexp(s.beta)
+    n = (frac * 2.0**53).astype(np.int64)  # beta = n * 2**(exp - 53), exactly
+    tz = np.frexp((n & -n).astype(float))[1] - 1  # n's trailing zero bits, -1 for 0
+    low = np.where(n == 0, 0, exp - 53 + tz)  # beta = (n >> tz) * 2**low, n >> tz odd
+    shift = 2 * (low - np.minimum(low.min(axis=0), 0))  # log2 of beta**2 * D_m / (n >> tz)**2
+    rows = zip((n >> np.maximum(tz, 0)).tolist(), shift.tolist())
+    return np.array([[x * x << t for x, t in zip(*row)] for row in rows], dtype=object)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,11 @@ the report's total and per-user values. ``interference_exact`` and
 from the Fraction beta squares of ``exact_beta_squares``, which the
 integer row form replaced; they are the independent check of the exact
 matrix, the exact objective and the exact scalar weight.
+``integer_beta_squares``, ``exact_rows``, ``contamination_objective_exact``
+and ``verify_exact`` are that integer row form as it was before the term
+by term certificate: every column over an lcm, the full K x K rows, a
+sequential sum of per-user Fractions, and an exact verify that compares
+two totals, the graph side summed block by block.
 ``interference_float`` and ``rate_terms`` are the two separate per-user
 passes that built the float matrix and the uplink-rate terms before one
 pass built both.
@@ -39,9 +44,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from pilotkit import PilotAssignment
+from pilotkit import MeasureEqualityReport, PilotAssignment
 from pilotkit.fileio import INSTANCE_MAGIC
-from pilotkit.system_model import PATHLOSS_REF_DB, _gamma_from_beta, _parse_ap_rule
+from pilotkit.system_model import (
+    PATHLOSS_REF_DB,
+    _gamma_from_beta,
+    _over_common_denominator,
+    _parse_ap_rule,
+)
 
 
 def pair_weight(s, k, j):
@@ -309,6 +319,76 @@ def co_pilot_sum_exact(w, labels):
             if labels[i] == labels[j]:
                 total += w[i, j]
     return total
+
+
+def integer_beta_squares(s):
+    """``system_model._integer_beta_squares`` as it was before float columns
+    were scaled by shifts: every column's squared ratios, float or payload,
+    over the lcm of their denominators."""
+    if s.beta_sq_exact is not None:
+        ratios = [[(x.numerator, x.denominator) for x in col] for col in s.beta_sq_exact.T]
+    else:
+        ratios = [
+            [(n * n, d * d) for n, d in map(float.as_integer_ratio, col)]
+            for col in s.beta.T.tolist()
+        ]
+    return np.array([_over_common_denominator(col)[0] for col in ratios], dtype=object).T
+
+
+def exact_rows(s):
+    """Rational mode's full K x K integer rows (N, L): one_sided[k, j] =
+    N[k, j] / L[k], L[k] = lcm(P[k, m] for m in A(k)) and N[k] = P[:, A(k)]
+    @ (L[k] // P[k, A(k)]), as ``objective._exact_rows`` held them before
+    N was built only pair by pair."""
+    p = integer_beta_squares(s)
+    n = np.empty((s.k_users, s.k_users), dtype=object)
+    lcms = []
+    for k, aps in enumerate(s.serving_sets):
+        idx = list(aps)
+        scale, lk = _over_common_denominator((1, x) for x in p[k, idx].tolist())
+        n[k] = p[:, idx].dot(np.array(scale, dtype=object))
+        lcms.append(lk)
+    np.fill_diagonal(n, 0)
+    return n, tuple(lcms)
+
+
+def contamination_objective_exact(s, labels):
+    """The exact objective from ``exact_rows``: one row sum of N over k's
+    co-pilots per user, the K Fractions added one at a time."""
+    n, lcms = exact_rows(s)
+    labels = np.asarray(labels)
+    same = labels[:, None] == labels[None, :]
+    return sum(
+        (Fraction(row[mask].sum(), lk) for row, mask, lk in zip(n, same, lcms)), Fraction(0)
+    )
+
+
+def verify_exact(s, a, graph=None):
+    """Exact ``verify_measure_equality`` as two totals: the objective of
+    ``contamination_objective_exact`` against the co-block weights summed
+    per block over the block's own common denominator. The weights are the
+    graph's, each at its exact value, or without a graph the co-pilot
+    pairs' (N[i, j] L[j] + N[j, i] L[i]) / (L[i] L[j]) from ``exact_rows``."""
+    m_pa = contamination_objective_exact(s, a.pilot_of)
+    n, lcms = exact_rows(s)
+    blocks = a.pilot_of
+    buckets = [[] for _ in range(a.n_pilots)]
+    if graph is None:
+        for i, j in itertools.combinations(range(s.k_users), 2):
+            if blocks[i] == blocks[j]:
+                buckets[blocks[i]].append((n[i, j] * lcms[j] + n[j, i] * lcms[i], lcms[i] * lcms[j]))
+    else:
+        for (i, j), w in sorted(graph.weights.items()):
+            if blocks[i] == blocks[j]:
+                buckets[blocks[i]].append(w.as_integer_ratio())
+    m_mkp = sum(Fraction(sum(x), d) for x, d in map(_over_common_denominator, buckets))
+    diff = abs(m_pa - m_mkp)
+    try:
+        abs_diff = float(diff)
+    except OverflowError:
+        abs_diff = math.inf
+    rel_diff = float(diff / max(m_pa, m_mkp)) if diff else 0.0
+    return MeasureEqualityReport(m_pa, m_mkp, abs_diff, rel_diff, m_pa == m_mkp, "rational")
 
 
 def interference_float(s):

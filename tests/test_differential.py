@@ -11,16 +11,20 @@ replaced, joined and bit for bit; ``contamination_report`` against the
 pair loop it replaced, bit for bit; the one-pass builder of W and
 the rate terms against the two separate builders it replaced, bit for
 bit; the one-pass ``uplink_rates`` against ``uplink_rate`` user by
-user, bit for bit; the per-block integer graph side of exact
-``verify_measure_equality`` against ``mkp_objective`` on Fraction weights,
-and its co-block pairs read from the exact rows against the full exact
-graph, field by field; the row-wise instance writer against the
+user, bit for bit; the graph side of exact ``verify_measure_equality``
+against ``mkp_objective`` on Fraction weights, its report without a graph
+against the report on the full exact graph, and the exact objective and
+every report field against the two-totals ``reference.verify_exact``
+(full K x K rows, per-block sums), field by field, also where a changed
+edge sends the term-by-term certificate to its fallback; the row-wise
+instance writer against the
 per-element one, byte for byte;
 the row-wise serving sets and the generator against the per-user
 selection loop, bit for bit.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 import warnings
@@ -57,7 +61,7 @@ from pilotkit import (
     uplink_rates,
     verify_measure_equality,
 )
-from pilotkit import objective, solvers, system_model
+from pilotkit import objective, reductions, solvers, system_model
 from pilotkit.fileio import format_instance
 from pilotkit.objective import interference_pairs
 
@@ -115,6 +119,7 @@ def _assert_exact_matches_reference(s, seeds=(0, 1, 2)):
         value = contamination_objective(s, a, exact=True)
         assert type(value) is Fraction
         assert value == reference.co_pilot_sum_exact(ref, a.pilot_of)
+        assert value == reference.contamination_objective_exact(s, a.pilot_of)
 
 
 @pytest.mark.parametrize("rule", ["energy:0.95", "energy:0.5", "top:1", "top:8"])
@@ -196,12 +201,18 @@ def test_user_terms_match_reference_builders(shape, rule):
         _assert_terms_match_reference(_system(shape, seed, rule))
 
 
+# log-uniform, about: from 1e-150 to 1e151
+WIDE = st.builds(lambda e, x: x * 10.0**e, st.integers(-150, 150), st.floats(1.0, 10.0))
+SUBNORMAL = st.sampled_from([5e-324, 1e-310]) | st.floats(5e-324, 2.0**-1022, exclude_max=True)
+
+
 @st.composite
-def wide_systems(draw):
-    """Small systems with beta from 1e-150 to 1e151, single-AP serving sets,
-    users with eta = 0, and zero fading off the serving links."""
+def wide_systems(draw, fading=WIDE):
+    """Small systems with beta drawn from ``fading`` (by default from 1e-150
+    to 1e151), single-AP serving sets, users with eta = 0, and zero fading
+    off the serving links."""
     k, m = draw(st.integers(1, 6), label="K"), draw(st.integers(1, 5), label="M")
-    scale = st.builds(lambda e, x: x * 10.0**e, st.integers(-150, 150), st.floats(1.0, 10.0))
+    scale = WIDE
     unit = st.floats(0.0, 1.0)
 
     def table(values):
@@ -209,7 +220,7 @@ def wide_systems(draw):
 
     serving = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1), min_size=k, max_size=k))
     off = table(st.booleans()) & np.array([[j not in a for j in range(m)] for a in serving])
-    beta = np.where(off, 0.0, table(scale))
+    beta = np.where(off, 0.0, table(fading))
     eta = draw(st.lists(st.sampled_from([0.0, 1.0]) | unit, min_size=k, max_size=k), label="eta")
     tau = draw(st.integers(1, k), label="tau")
     return make_system(beta, serving, tau, gamma=beta * table(unit), eta=eta,
@@ -529,21 +540,33 @@ def _fraction_graph_side(g, labels):
     return mkp_objective(exact, Partition(labels, g.k_parts))
 
 
+def _assert_report_matches_reference(s, a, graph=None):
+    """Exact verify reports what the two-totals reference does, field by
+    field and type by type; returns the report."""
+    rep = verify_measure_equality(s, a, exact=True, graph=graph)
+    want = reference.verify_exact(s, a, graph)
+    for field in dataclasses.fields(rep):
+        got, expected = getattr(rep, field.name), getattr(want, field.name)
+        assert type(got) is type(expected) and got == expected, field.name
+    return rep
+
+
 def _assert_graph_side_matches(s, a, graph, passes=True):
     """The graph side of exact verify equals the Fraction sum, on a passed
     graph and on the derived one; the certificate passes on the derived
     graph, and on the passed one when ``passes``. Without a graph, verify
-    reports what the full exact graph gives, field by field."""
-    derived = verify_measure_equality(s, a, exact=True)
+    reports what the full exact graph gives, and each report is the
+    reference's, field by field."""
+    derived = _assert_report_matches_reference(s, a)
     full = pa_to_mkp(s, exact=True)
     for rep, g, want in (
-        (verify_measure_equality(s, a, exact=True, graph=graph), graph, passes),
+        (_assert_report_matches_reference(s, a, graph), graph, passes),
         (derived, full, True),
     ):
         assert type(rep.m_mkp) is Fraction
         assert rep.m_mkp == _fraction_graph_side(g, a.pilot_of)
         assert rep.passed is want is (rep.m_pa == rep.m_mkp)
-    assert derived == verify_measure_equality(s, a, exact=True, graph=full)
+    assert derived == _assert_report_matches_reference(s, a, full)
 
 
 GRAPH_SIDE_WEIGHTS = dict(GRAPH_WEIGHTS, int64=lambda r: np.int64(r.randint(0, 10**15)))
@@ -620,6 +643,162 @@ def test_derived_exact_verify_builds_only_co_block_weights(monkeypatch):
     assert rep.passed and type(rep.m_mkp) is Fraction
     assert objective._interference_exact not in system_model._DERIVED[s]
     assert rep == verify_measure_equality(s, a, exact=True, graph=pa_to_mkp(s, exact=True))
+
+
+@st.composite
+def payload_systems(draw):
+    """(mkp_to_pa(g, exact=True), g) for a graph g of int, Fraction and
+    float weights, subnormal ones too, with 0, 1 or 4 dummy APs."""
+    n = draw(st.integers(1, 6), label="n")
+    k = draw(st.integers(1, n), label="k")
+    weight = (st.integers(0, 10**30) | st.fractions(0, 10**6, max_denominator=10**9)
+              | st.floats(0.0, 1e300) | SUBNORMAL)
+    pairs = list(itertools.combinations(range(n), 2))
+    weights = st.dictionaries(st.sampled_from(pairs), weight) if pairs else st.just({})
+    g = WeightedGraph(n, k, draw(weights, label="weights"))
+    dummy_aps = draw(st.sampled_from([0, 1, 4]), label="dummy_aps")
+    return mkp_to_pa(g, n_dummy_aps=dummy_aps, exact=True), g
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=wide_systems(WIDE | SUBNORMAL).map(lambda s: (s, None)) | payload_systems(),
+       seed=st.integers(0, 2**32 - 1))
+def test_exact_verify_matches_reference(case, seed):
+    # beta log-uniform from 1e-150 to 1e151 with subnormal entries and zeros
+    # off the serving sets, or a graph's exact payload; tau = K and K = 1
+    # among them
+    s, g = case
+    a = random_feasible(s, seed)
+    value = contamination_objective(s, a, exact=True)
+    assert type(value) is Fraction and value == reference.contamination_objective_exact(s, a.pilot_of)
+    for graph in (None, pa_to_mkp(s, exact=True)) + ((g,) if g else ()):
+        rep = _assert_report_matches_reference(s, a, graph)
+        assert rep.passed and rep.m_pa == value
+
+
+@pytest.mark.parametrize("case", ["tau=K", "K=1", "K=1 subnormal"])
+def test_exact_verify_matches_reference_without_co_pilots(case):
+    s, labels = {
+        "tau=K": (_system((6, 16, 6), 1), (3, 0, 5, 1, 4, 2)),
+        "K=1": (_system((1, 4, 1), 1), (0,)),
+        "K=1 subnormal": (make_system([[5e-324, 1e-310]], [(0, 1)], tau=1), (0,)),
+    }[case]
+    a = PilotAssignment(labels, s.tau_pilots)
+    for graph in (None, pa_to_mkp(s, exact=True)):
+        rep = _assert_report_matches_reference(s, a, graph)
+        assert rep.passed and rep.m_pa == rep.m_mkp == 0 and type(rep.m_pa) is Fraction
+
+
+def _count_totals(monkeypatch):
+    """Record each exact total verify sums: one when every term matches,
+    a second one when it falls back to summing the graph side."""
+    calls = []
+
+    def total(ratios):
+        calls.append(1)
+        return objective._exact_total(ratios)
+
+    monkeypatch.setattr(reductions, "_exact_total", total)
+    return calls
+
+
+def _float_graph_case():
+    """A graph of float weights on 6 vertices, its exact payload system and
+    the partition {0, 2, 4} | {1, 3, 5}; the co-block edge (2, 4) is absent,
+    so it weighs 0."""
+    r = random.Random(5)
+    weights = {e: r.choice([0.1, 0.3, 2.5, 1 / 3, 7.0]) for e in itertools.combinations(range(6), 2)}
+    del weights[(2, 4)]
+    g = WeightedGraph(6, 2, weights)
+    return g, mkp_to_pa(g, exact=True), PilotAssignment((0, 1, 0, 1, 0, 1), 2)
+
+
+def _changed(g, changes):
+    return WeightedGraph(g.n_vertices, g.k_parts, {**g.weights, **changes})
+
+
+@pytest.mark.parametrize("edge", [(0, 2), (0, 4), (2, 4), (1, 3), (1, 5), (3, 5)])
+def test_co_block_edge_one_ulp_higher_fails(edge, monkeypatch):
+    g, s, a = _float_graph_case()
+    good = verify_measure_equality(s, a, exact=True, graph=g)
+    assert good.passed
+    w = g.weight(*edge)
+    bad = _changed(g, {edge: math.nextafter(w, math.inf)})
+    calls = _count_totals(monkeypatch)
+    rep = _assert_report_matches_reference(s, a, bad)
+    assert not rep.passed and len(calls) == 2
+    assert rep.m_pa == good.m_pa
+    assert rep.m_mkp == good.m_mkp + Fraction(bad.weight(*edge)) - Fraction(w)
+
+
+def _exact_graph_case(seed):
+    """A generated system, its exact graph (Fraction weights) and an
+    assignment with co-pilot pairs on both pilots."""
+    s = _system((8, 24, 2), seed)
+    a = random_feasible(s, seed)
+    pairs = [(i, j) for i, j in itertools.combinations(range(8), 2) if a.pilot_of[i] == a.pilot_of[j]]
+    return s, pa_to_mkp(s, exact=True), a, pairs
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_co_block_edge_raised_by_a_tiny_fraction_fails(seed, monkeypatch):
+    s, g, a, pairs = _exact_graph_case(seed)
+    good = verify_measure_equality(s, a, exact=True, graph=g)
+    assert good.passed
+    calls = _count_totals(monkeypatch)
+    for edge in pairs:
+        calls.clear()
+        rep = _assert_report_matches_reference(s, a, _changed(g, {edge: g.weight(*edge) + Fraction(1, 10**30)}))
+        assert not rep.passed and len(calls) == 2
+        assert rep.m_pa == good.m_pa and rep.m_mkp == good.m_mkp + Fraction(1, 10**30)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_weight_moved_between_co_block_edges_passes_through_the_fallback(seed, monkeypatch):
+    # the terms differ and the totals do not: within a block and across blocks
+    s, g, a, pairs = _exact_graph_case(seed)
+    good = verify_measure_equality(s, a, exact=True, graph=g)
+    calls = _count_totals(monkeypatch)
+    for e, f in itertools.permutations(pairs, 2):
+        calls.clear()
+        d = min(g.weight(*e), g.weight(*f)) / 3
+        rep = _assert_report_matches_reference(s, a, _changed(g, {e: g.weight(*e) - d, f: g.weight(*f) + d}))
+        assert rep.passed and len(calls) == 2
+        assert rep.m_pa == rep.m_mkp == good.m_pa
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_changed_edge_across_blocks_passes_term_by_term(seed, monkeypatch):
+    s, g, a, pairs = _exact_graph_case(seed)
+    good = verify_measure_equality(s, a, exact=True, graph=g)
+    calls = _count_totals(monkeypatch)
+    cut = [e for e in itertools.combinations(range(8), 2) if e not in pairs]
+    for e in cut:
+        for graph in (_changed(g, {e: g.weight(*e) * 7 + 1}), WeightedGraph(8, 2, {
+                k: w for k, w in g.weights.items() if k != e})):
+            calls.clear()
+            rep = _assert_report_matches_reference(s, a, graph)
+            assert rep.passed and len(calls) == 1 and rep == good
+
+
+def test_wrong_objective_term_without_a_graph_falls_back(monkeypatch):
+    # user 0's term of the objective, one unit too high: its pair terms no
+    # longer add up to it, and the pair weights, summed on their own, show
+    # the objective 1 / L[0] too high
+    s, _, a, _ = _exact_graph_case(1)
+    good = verify_measure_equality(s, a, exact=True)
+    terms = objective._exact_terms
+
+    def off_by_one(s, labels):
+        r, lcms = terms(s, labels)
+        return [r[0] + 1] + r[1:], lcms
+
+    monkeypatch.setattr(reductions, "_exact_terms", off_by_one)
+    calls = _count_totals(monkeypatch)
+    rep = verify_measure_equality(s, a, exact=True)
+    lcm_0 = terms(s, np.asarray(a.pilot_of))[1][0]
+    assert not rep.passed and len(calls) == 2
+    assert rep.m_pa == good.m_pa + Fraction(1, lcm_0) and rep.m_mkp == good.m_mkp
 
 
 @pytest.mark.parametrize("shape", [(30, 64, 3), (40, 100, 4)])

@@ -38,9 +38,7 @@ from pilotkit import (
 )
 from pilotkit import solvers
 from pilotkit.cli import SOLVERS
-from pilotkit.objective import _exact_rows
 from pilotkit.solvers import DEFAULT_BUDGET
-from pilotkit.system_model import derived
 
 import reference
 from conftest import flat_system, make_system, small_random_system
@@ -282,18 +280,18 @@ class TestBruteForcePartition:
 
 class TestFloatWeightBound:
     """Every entry w' of the float W is within rel * w' + rel * 2**-1018 of
-    the exact W that ``_exact_rows`` gives for the same beta, rel being
-    ``_w_error``'s, and an entry that overflowed has an exact one within
-    rel of the float overflow threshold 2**1024 - 2**970 or above it."""
+    the exact W of the same beta, ``interference_matrix(s, exact=True)``,
+    rel being ``_w_error``'s, and an entry that overflowed has an exact one
+    within rel of the float overflow threshold 2**1024 - 2**970 or above it."""
 
     @staticmethod
     def assert_within_bound(s):
         w = interference_matrix(s)
-        n, lcms = derived(s, _exact_rows)
+        w_exact = interference_matrix(s, exact=True)
         rel = solvers._w_error(s)
         tiny = Fraction(rel) / 2**1018
         for k, j in zip(*np.triu_indices(s.k_users, 1)):
-            exact = Fraction(n[k, j], lcms[k]) + Fraction(n[j, k], lcms[j])
+            exact = w_exact[k, j]
             got = float(w[k, j])
             if got == math.inf:
                 assert exact * (1 + Fraction(rel)) >= 2**1024 - 2**970
