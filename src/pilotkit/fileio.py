@@ -17,6 +17,12 @@ value-exact; graph weights may also be integers or rationals ``p/q``.
     beta <M floats> x K
     gamma <M floats> x K
 
+A gamma that is bit for bit the default estimate of beta (as ``gen`` and
+``reduce mkp-to-pa`` build it) is the one line ``gamma default`` under the
+header ``pa-instance/2``, rebuilt on reading from beta, rho_u and pilots, so
+a hand-edited beta changes it too. Any other gamma is written as rows under
+``pa-instance/1``, as before; both read. Older pilotkit refuses ``/2`` (exit 3).
+
 Assignment and partition files share one form: a labels line plus its
 dimensions.
 """
@@ -29,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .reductions import Partition, WeightedGraph
-from .system_model import CfMmimoSystem, PilotAssignment
+from .system_model import CfMmimoSystem, PilotAssignment, _gamma_from_beta
 
 __all__ = [
     "FormatError",
@@ -52,6 +58,7 @@ __all__ = [
 ]
 
 INSTANCE_MAGIC = "pa-instance/1"
+DEFAULT_GAMMA_MAGIC = "pa-instance/2"
 GRAPH_MAGIC = "mkp-graph/1"
 ASSIGNMENT_MAGIC = "pa-assignment/1"
 PARTITION_MAGIC = "mkp-partition/1"
@@ -83,15 +90,11 @@ def _weight(token: str):
 
 
 class _Lines:
-    def __init__(self, text: str, magic: str):
-        self.rows = [
-            ln.strip()
-            for ln in text.splitlines()
-            if ln.strip() and not ln.lstrip().startswith("#")
-        ]
-        if not self.rows or self.rows[0] != magic:
+    def __init__(self, text: str, *magics: str):
+        self.rows = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+        if not self.rows or self.rows[0] not in magics:
             found = self.rows[0] if self.rows else "<empty>"
-            raise FormatError(f"expected header {magic!r}, found {found!r}")
+            raise FormatError(f"expected header {' or '.join(map(repr, magics))}, found {found!r}")
         self.pos = 1
 
     def take(self, key: str, conv=int, count: int | None = None) -> list:
@@ -124,36 +127,53 @@ class _Lines:
             raise FormatError(f"trailing content: {self.rows[self.pos]!r}")
 
 
+def _default_gamma(beta: np.ndarray, rho_u: float, tau: int) -> np.ndarray | None:
+    try:  # the gamma generate_system and mkp_to_pa build; None if tau is beyond float range
+        with np.errstate(all="ignore"):  # validate_system judges an invalid beta
+            return _gamma_from_beta(beta, rho_u, tau)
+    except OverflowError:
+        return None
+
+
 def format_instance(s: CfMmimoSystem) -> str:
-    out = [INSTANCE_MAGIC]
-    out.append(f"aps {s.m_aps}")
-    out.append(f"users {s.k_users}")
-    out.append(f"pilots {s.tau_pilots}")
-    out.append(f"rho_u {_fmt_float(s.rho_u)}")
-    out.append(f"tau_c {s.tau_c}")
+    rho_u = _fmt_float(s.rho_u)
+    default = _default_gamma(s.beta, float(rho_u), s.tau_pilots)  # as the reader rebuilds it
+    is_default = default is not None and np.array_equal(s.gamma.view("u8"), default.view("u8"))
+    out = [DEFAULT_GAMMA_MAGIC if is_default else INSTANCE_MAGIC, f"aps {s.m_aps}"]
+    out += [f"users {s.k_users}", f"pilots {s.tau_pilots}", f"rho_u {rho_u}", f"tau_c {s.tau_c}"]
     out.append("eta " + " ".join(map(repr, s.eta.tolist())))
     out.extend("serve " + " ".join(map(str, aps)) for aps in s.serving_sets)
-    for key, table in (("beta", s.beta), ("gamma", s.gamma)):
-        out.extend(f"{key} " + " ".join(map(repr, row)) for row in table.tolist())
+    out.extend("beta " + " ".join(map(repr, row)) for row in s.beta.tolist())
+    if is_default:
+        out.append("gamma default")
+    else:
+        out.extend("gamma " + " ".join(map(repr, row)) for row in s.gamma.tolist())
     return "\n".join(out) + "\n"
 
 
 def parse_instance(text: str) -> CfMmimoSystem:
-    ln = _Lines(text, INSTANCE_MAGIC)
+    ln = _Lines(text, INSTANCE_MAGIC, DEFAULT_GAMMA_MAGIC)
     m, k, tau = ln.one("aps"), ln.one("users"), ln.one("pilots")
     rho_u, tau_c = ln.one("rho_u", float), ln.one("tau_c")
     eta = ln.take("eta", float, k)
     serving = tuple(tuple(ln.take("serve")) for _ in range(k))
-    beta = [ln.take("beta", float, m) for _ in range(k)]
-    gamma = [ln.take("gamma", float, m) for _ in range(k)]
+    beta = np.array([ln.take("beta", float, m) for _ in range(k)])
+    if ln.rows[0] == DEFAULT_GAMMA_MAGIC:
+        if ln.one("gamma", str) != "default":
+            raise FormatError(f"{DEFAULT_GAMMA_MAGIC} wants the line 'gamma default'")
+        gamma = _default_gamma(beta, rho_u, tau)
+        if gamma is None:
+            raise FormatError(f"pilots {tau} is beyond float range for 'gamma default'")
+    else:
+        gamma = np.array([ln.take("gamma", float, m) for _ in range(k)])
     ln.done()
     return CfMmimoSystem(
         m_aps=m,
         k_users=k,
         tau_pilots=tau,
-        beta=np.array(beta),
+        beta=beta,
         serving_sets=serving,
-        gamma=np.array(gamma),
+        gamma=gamma,
         eta=np.array(eta),
         rho_u=rho_u,
         tau_c=tau_c,

@@ -194,6 +194,17 @@ class TestReduce:
         for key, w in g.weights.items():
             assert g2.weights[key] == pytest.approx(w, rel=1e-9)
 
+    def test_mkp_to_pa_writes_default_gamma_and_verifies(self, tmp_path):
+        inst = gen_instance(tmp_path)
+        graph, back, asg = tmp_path / "g.txt", tmp_path / "back.txt", tmp_path / "a.txt"
+        assert run("reduce", "pa-to-mkp", "--in", inst, "--out", graph) == 0
+        assert run("reduce", "mkp-to-pa", "--in", graph, "--out", back) == 0
+        text = back.read_text()
+        assert text.startswith("pa-instance/2\n") and text.endswith("\ngamma default\n")
+        assert run("solve", "--instance", back, "--solver", "greedy",
+                   "--out", tmp_path / "r.csv", "--assignment-out", asg) == 0
+        assert run("verify", "--instance", back, "--assignment", asg, "--exact") == 0
+
     def test_mkp_to_pa_weight_eight(self, tmp_path):
         gpath = tmp_path / "pair.txt"
         write_graph(gpath, WeightedGraph(2, 2, {(0, 1): 8}))
@@ -377,6 +388,25 @@ class TestVerify:
         # refused on stderr, like every other command's invalid system
         assert out == ""
         assert err.startswith("error: invalid system: ") and f"[0, {m}]" in err
+
+    def test_gamma_section_must_match_the_header(self, tmp_path, capsys):
+        inst = gen_instance(tmp_path)
+        asg = tmp_path / "a.txt"
+        run("solve", "--instance", inst, "--solver", "greedy",
+            "--out", tmp_path / "r.csv", "--assignment-out", asg)
+        text = inst.read_text()
+        assert text.startswith("pa-instance/2\n") and text.endswith("\ngamma default\n")
+        gamma = read_instance(inst).gamma.tolist()
+        rows = "".join("gamma " + " ".join(map(repr, row)) + "\n" for row in gamma)
+        for bad in (text.replace("pa-instance/2", "pa-instance/1"), text.replace("gamma default\n", rows)):
+            inst.write_text(bad)
+            capsys.readouterr()
+            assert run("verify", "--instance", inst, "--assignment", asg, "--exact") == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ")
+        # the same system in the row form still reads
+        inst.write_text(text.replace("pa-instance/2", "pa-instance/1").replace("gamma default\n", rows))
+        assert run("verify", "--instance", inst, "--assignment", asg, "--exact") == 0
 
     def test_valid_instance_is_validated_once(self, tmp_path, monkeypatch):
         inst = gen_instance(tmp_path)

@@ -18,7 +18,7 @@ every report field against the two-totals ``reference.verify_exact``
 (full K x K rows, per-block sums), field by field, also where a changed
 edge sends the term-by-term certificate to its fallback; the row-wise
 instance writer against the
-per-element one, byte for byte;
+per-element one, byte for byte, but for the one-line default gamma;
 the row-wise serving sets and the generator against the per-user
 selection loop, bit for bit.
 """
@@ -874,7 +874,19 @@ def test_format_instance_matches_reference(shape):
     for seed in (1, 2):
         for rule in ("energy:0.95", "top:1"):
             s = _system(shape, seed, rule)
-            assert format_instance(s) == reference.format_instance(s)
+            lines, ref = format_instance(s).splitlines(), reference.format_instance(s).splitlines()
+            # the generator's gamma is the default estimate: one line under
+            # pa-instance/2 in place of the K rows; every other line as before
+            k = s.k_users
+            assert (lines[0], ref[0]) == ("pa-instance/2", "pa-instance/1")
+            assert lines[1:-1] == ref[1:-k]
+            assert lines[-1] == "gamma default"
+            assert all(row.startswith("gamma ") for row in ref[-k:])
+            # any other gamma keeps its rows under pa-instance/1, byte for byte
+            other = dataclasses.replace(
+                s, gamma=system_model.compute_gamma_default(s, 2 * s.rho_u, s.tau_pilots)
+            )
+            assert format_instance(other) == reference.format_instance(other)
 
 
 def test_format_instance_matches_reference_on_extreme_floats():

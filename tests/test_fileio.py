@@ -1,4 +1,6 @@
+import dataclasses
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from pilotkit import (
     WeightedGraph,
     generate_system,
     graphs_equal,
+    mkp_to_pa,
 )
 from pilotkit.fileio import (
     FormatError,
@@ -31,6 +34,9 @@ from pilotkit.fileio import (
     write_instance,
 )
 
+from pilotkit.system_model import _gamma_from_beta
+
+import reference
 from conftest import make_system
 
 
@@ -118,6 +124,102 @@ class TestInstanceFormat:
         path = tmp_path / "inst.txt"
         write_instance(path, s)
         assert systems_value_equal(read_instance(path), s)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def default_gamma(s):
+    with np.errstate(all="ignore"):
+        return _gamma_from_beta(s.beta, s.rho_u, s.tau_pilots)
+
+
+def with_gamma(s, gamma):
+    return dataclasses.replace(s, gamma=gamma)
+
+
+class TestDefaultGamma:
+    """A gamma that is the default estimate of beta, bit for bit, is the
+    line ``gamma default`` under ``pa-instance/2``; any other keeps its
+    K rows under ``pa-instance/1``."""
+
+    def test_generated_and_back_reduced_systems_write_one_line(self):
+        g = WeightedGraph(3, 2, {(0, 1): 1, (1, 2): Fraction(3, 7), (0, 2): 0.25})
+        for s in (generate_system(GenerationConfig(seed=3), 12, 5, 2), mkp_to_pa(g)):
+            text = format_instance(s)
+            assert text.startswith("pa-instance/2\n") and text.endswith("\ngamma default\n")
+            assert "gamma " not in text.replace("gamma default", "")
+            back = parse_instance(text)
+            assert same_bits(back.gamma, s.gamma) and format_instance(back) == text
+
+    @pytest.mark.parametrize("change", ["one ulp", "negative zero"])
+    def test_near_default_gamma_keeps_its_rows(self, change):
+        s = make_system([[0.0, 0.5], [0.25, 1.0]], [(1,), (0, 1)], tau=2, rho_u=3.0)
+        gamma = default_gamma(s).copy()
+        assert format_instance(with_gamma(s, gamma.copy())).startswith("pa-instance/2\n")
+        if change == "one ulp":
+            gamma[1, 0] = np.nextafter(gamma[1, 0], np.inf)
+        else:
+            assert gamma[0, 0] == 0.0 and not np.signbit(gamma[0, 0])
+            gamma[0, 0] = -0.0
+        s = with_gamma(s, gamma)
+        text = format_instance(s)
+        assert text.startswith("pa-instance/1\n") and "gamma default" not in text
+        assert text == reference.format_instance(s)
+        back = parse_instance(text)
+        assert same_bits(back.gamma, s.gamma) and format_instance(back) == text
+
+    def test_gamma_section_must_match_the_header(self):
+        s = generate_system(GenerationConfig(seed=5), 8, 3, 2)
+        v2, v1 = format_instance(s), reference.format_instance(s)
+        rows = v1[v1.index("\ngamma ") + 1:]
+        default_under_v1 = v2.replace("pa-instance/2", "pa-instance/1")
+        rows_under_v2 = v2.replace("gamma default\n", rows)
+        for bad, message in [
+            (default_under_v1, "bad value in gamma line"),
+            (rows_under_v2, "gamma row has 8 entries, expected 1"),
+            (v2.replace("gamma default", "gamma defaults"), "wants the line 'gamma default'"),
+            (v2.replace("gamma default\n", ""), "expected 'gamma' line"),
+            (v2 + rows, "trailing content"),
+        ]:
+            with pytest.raises(FormatError, match=message):
+                parse_instance(bad)
+
+    def test_huge_pilot_count_is_a_format_error(self):
+        text = format_instance(generate_system(GenerationConfig(seed=5), 8, 3, 2))
+        with pytest.raises(FormatError, match="beyond float range"):
+            parse_instance(text.replace("pilots 2", f"pilots {10**400}"))
+        s = dataclasses.replace(make_system([[1.0]], [(0,)], tau=1), tau_pilots=10**400)
+        assert format_instance(s).startswith("pa-instance/1\n")
+
+    def test_text_of_the_row_writer_parses_to_an_equal_system(self):
+        g = WeightedGraph(4, 2, {(0, 1): 2, (1, 2): Fraction(1, 3), (2, 3): 0.5})
+        for s in (generate_system(GenerationConfig(seed=6), 16, 6, 3), mkp_to_pa(g)):
+            back = parse_instance(reference.format_instance(s))
+            for f in dataclasses.fields(CfMmimoSystem):
+                a, b = getattr(back, f.name), getattr(s, f.name)
+                if f.name == "beta_sq_exact":  # not part of the file
+                    assert a is None
+                elif isinstance(a, np.ndarray):
+                    assert same_bits(a, b), f.name
+                else:
+                    assert a == b and type(a) is type(b), f.name
+            assert format_instance(back) == format_instance(s)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, -0.25, np.inf, 1e308])
+    def test_invalid_beta_writes_without_warnings(self, value):
+        beta = [[value, 1.0], [1.0, 1.0]]
+        for gamma in (None, "default"):
+            s = make_system(beta, [(0,), (1,)], tau=2, rho_u=2.0)
+            if gamma:
+                s = with_gamma(s, default_gamma(s))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                text = format_instance(s)
+                back = parse_instance(text)
+            assert text.startswith("pa-instance/2" if gamma else "pa-instance/1")
+            assert same_bits(back.gamma, s.gamma) and same_bits(back.beta, s.beta)
 
 
 class TestGraphFormat:
@@ -259,6 +361,13 @@ def systems(draw):
 
 
 @st.composite
+def systems_any_gamma(draw):
+    """systems() with gamma either drawn freely or the default estimate."""
+    s = draw(systems())
+    return with_gamma(s, default_gamma(s)) if draw(st.booleans()) else s
+
+
+@st.composite
 def graphs(draw):
     n = draw(st.integers(1, 6))
     weight = st.one_of(
@@ -272,7 +381,7 @@ def graphs(draw):
 
 def _valid_text(kind):
     if kind == "instance":
-        return systems().map(format_instance)
+        return systems_any_gamma().map(format_instance)
     if kind == "graph":
         return graphs().map(format_graph)
     if kind == "assignment":
@@ -327,6 +436,15 @@ class TestParserFuzzing:
     @settings(max_examples=60, deadline=None)
     def test_instance_round_trip(self, s):
         assert systems_value_equal(parse_instance(format_instance(s)), s)
+
+    @given(s=systems_any_gamma())
+    @settings(max_examples=100, deadline=None)
+    def test_instance_round_trip_any_gamma(self, s):
+        text = format_instance(s)
+        back = parse_instance(text)
+        assert text.startswith("pa-instance/2" if same_bits(s.gamma, default_gamma(s)) else "pa-instance/1")
+        assert same_bits(back.beta, s.beta) and same_bits(back.gamma, s.gamma)
+        assert format_instance(back) == text
 
     @given(g=graphs())
     @settings(max_examples=60, deadline=None)
