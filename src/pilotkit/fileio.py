@@ -167,6 +167,9 @@ def parse_instance(text: str) -> CfMmimoSystem:
     else:
         gamma = np.array([ln.take("gamma", float, m) for _ in range(k)])
     ln.done()
+    eta = np.array(eta)
+    for arr in (beta, gamma, eta):
+        arr.setflags(write=False)  # read-only, so the system keeps them without a copy
     return CfMmimoSystem(
         m_aps=m,
         k_users=k,
@@ -174,7 +177,7 @@ def parse_instance(text: str) -> CfMmimoSystem:
         beta=beta,
         serving_sets=serving,
         gamma=gamma,
-        eta=np.array(eta),
+        eta=eta,
         rho_u=rho_u,
         tau_c=tau_c,
     )

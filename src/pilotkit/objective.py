@@ -13,14 +13,14 @@ weight; the equivalent ordered form (summing user by user over co-pilot
 partners, one side at a time) reaches the same total because each pair
 then contributes its two one-sided terms separately.
 
-Every consumer reads w from one K x K matrix memoised per system, and
-the scalar ``pairwise_interference`` is one of its entries: in float
-mode from ``system_model._user_terms``, the one pass over each user's
-serving set that also builds the rate terms. With ``exact=True`` every
-function runs in rational arithmetic, as the reduction verifier needs,
-on Python integers: each user's one-sided terms share one denominator,
-so the memoised integer squares and scales give the exact matrix (one
-Fraction per entry) and objective (one integer per user, one total).
+Float mode reads w from one K x K matrix memoised per system, built by
+``system_model._user_terms``, the one pass over each user's serving set
+that also builds the rate terms. With ``exact=True`` every function runs
+in rational arithmetic, as the reduction verifier needs, on Python
+integers: each user's one-sided terms share one denominator, so the
+memoised integer squares and scales give each exact pair weight asked
+for (one Fraction per pair) and the objective (one integer per user, one
+total). No K x K exact matrix is built.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .system_model import (
     CfMmimoSystem,
     PilotAssignment,
     _integer_beta_squares,
+    _require_valid,
     _user_terms,
     check_assignment,
     derived,
@@ -44,7 +45,6 @@ from .system_model import (
 
 __all__ = [
     "ContaminationReport",
-    "co_pilot_set",
     "pairwise_interference",
     "interference_matrix",
     "interference_pairs",
@@ -56,29 +56,23 @@ __all__ = [
 Weight = Union[float, Fraction]
 
 
-def co_pilot_set(a: PilotAssignment, k: int) -> set[int]:
-    """Users sharing user k's pilot, excluding k itself."""
-    if not 0 <= k < a.n_users:
-        raise IndexError(f"user index {k} out of range [0, {a.n_users})")
-    pk = a.pilot_of[k]
-    return {j for j, p in enumerate(a.pilot_of) if p == pk and j != k}
-
-
 def pairwise_interference(
     s: CfMmimoSystem, k: int, k2: int, exact: bool = False
 ) -> Weight:
-    """Symmetric interference weight between two distinct users: the entry
-    W[k, k2] of ``interference_matrix(s, exact=exact)``, so ValueError on
-    an invalid system. Zero exactly when neither user has a positive
-    fading coefficient on the other's serving set.
+    """Symmetric interference weight w(k, k2) between two distinct users:
+    the entry W[k, k2] of ``interference_matrix(s)``, or with ``exact=True``
+    that one pair's Fraction. ValueError on an invalid system. Zero exactly
+    when neither user has a positive fading coefficient on the other's
+    serving set.
     """
     if k == k2:
         raise ValueError(f"pair weight needs two distinct users, got k = k' = {k}")
     for u in (k, k2):
         if not 0 <= u < s.k_users:
             raise IndexError(f"user index {u} out of range [0, {s.k_users})")
-    w = interference_matrix(s, exact=exact)[k, k2]
-    return w if exact else float(w)
+    if exact:
+        return Fraction(*next(_exact_pairs(s, [k], [k2])[1]))
+    return float(interference_matrix(s)[k, k2])
 
 
 def _exact_rows(s: CfMmimoSystem) -> tuple[tuple, tuple[int, ...], tuple]:
@@ -120,31 +114,31 @@ def _exact_total(ratios) -> Fraction:
     return terms[0]
 
 
-def _interference_exact(s: CfMmimoSystem) -> np.ndarray:
-    # Every pair weight from _exact_pairs, normalised once.
-    ii, jj = (x.tolist() for x in np.triu_indices(s.k_users, 1))
-    w = np.full((s.k_users, s.k_users), Fraction(0), dtype=object)
-    w[ii, jj] = w[jj, ii] = [Fraction(*r) for r in _exact_pairs(s, ii, jj)[1]]
-    w.setflags(write=False)
-    return w
-
-
-def interference_matrix(s: CfMmimoSystem, exact: bool = False):
-    """The K x K matrix W of pair weights, W[k, k'] = w(k, k'), zero diagonal.
+def interference_matrix(s: CfMmimoSystem) -> np.ndarray:
+    """The K x K float matrix W of pair weights, W[k, k'] = w(k, k'), zero diagonal.
 
     Memoised per system (see ``system_model.derived``), so the system must
-    not change afterwards; float W comes from ``_user_terms``, the pass that
-    also builds the rate terms. Returns a read-only array: float64, or with
-    ``exact=True`` Fractions. Raises ValueError on an invalid system.
+    not change afterwards; it comes from ``_user_terms``, the pass that
+    also builds the rate terms. Returns a read-only float64 array. Raises
+    ValueError on an invalid system.
     """
-    return derived(s, _interference_exact) if exact else derived(s, _user_terms)[0]
+    return derived(s, _user_terms)[0]
+
+
+def _upper_triangle(s: CfMmimoSystem, exact: bool) -> tuple[list[int], list[int], list]:
+    """Rows, columns and weights of every pair i < j, in lexicographic order:
+    floats read from W, or with ``exact`` Fractions built pair by pair."""
+    _require_valid(s)  # before k_users is read
+    ii, jj = np.triu_indices(s.k_users, 1)
+    rows, cols = ii.tolist(), jj.tolist()
+    if exact:
+        return rows, cols, [Fraction(*r) for r in _exact_pairs(s, rows, cols)[1]]
+    return rows, cols, interference_matrix(s)[ii, jj].tolist()
 
 
 def interference_pairs(s: CfMmimoSystem, exact: bool = False) -> list[tuple[int, int, Weight]]:
     """(i, j, w(i, j)) for every pair i < j, in lexicographic order."""
-    w = interference_matrix(s, exact=exact)
-    ii, jj = np.triu_indices(s.k_users, 1)
-    return list(zip(ii.tolist(), jj.tolist(), w[ii, jj].tolist()))
+    return list(zip(*_upper_triangle(s, exact)))
 
 
 def _co_pilot_pairs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

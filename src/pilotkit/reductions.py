@@ -25,7 +25,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .objective import _co_pilot_pairs, _exact_pairs, _exact_terms, _exact_total
-from .objective import contamination_objective, interference_matrix
+from .objective import _upper_triangle, contamination_objective
 from .system_model import (
     CfMmimoSystem,
     PilotAssignment,
@@ -166,10 +166,8 @@ def pa_to_mkp(s: CfMmimoSystem, exact: bool = False) -> WeightedGraph:
     weight equal to the pairwise interference, block count equal to the
     pilot count. Raises ValueError on an invalid system.
     """
-    w = interference_matrix(s, exact=exact)
-    ii, jj = np.triu_indices(s.k_users, 1)
-    weights = dict(zip(zip(ii.tolist(), jj.tolist()), w[ii, jj].tolist()))
-    return WeightedGraph(s.k_users, s.tau_pilots, weights)
+    ii, jj, values = _upper_triangle(s, exact)
+    return WeightedGraph(s.k_users, s.tau_pilots, dict(zip(zip(ii, jj), values)))
 
 
 def mkp_to_pa(
@@ -204,14 +202,17 @@ def mkp_to_pa(
             bsq[i, j] = bsq[j, i] = Fraction(w) / 2
 
     tau = g.k_parts
+    gamma, eta = _gamma_from_beta(beta, 1.0, tau), np.ones(n)
+    for arr in (beta, gamma, eta):
+        arr.setflags(write=False)  # read-only, so the system keeps them without a copy
     return CfMmimoSystem(
         m_aps=m,
         k_users=n,
         tau_pilots=tau,
         beta=beta,
         serving_sets=tuple((i,) for i in range(n)),
-        gamma=_gamma_from_beta(beta, 1.0, tau),
-        eta=np.ones(n),
+        gamma=gamma,
+        eta=eta,
         rho_u=1.0,
         tau_c=2 * tau,
         beta_sq_exact=bsq,
@@ -268,7 +269,8 @@ def verify_measure_equality(
     one is summed; else the graph side is summed on its own. ``graph``
     overrides the reduction output, which lets callers probe corrupted
     reductions; by default rational mode builds only the co-block weights.
-    A value beyond float range reports as inf in ``abs_diff`` (and in the CLI).
+    A value beyond float range reports as inf in ``abs_diff`` (and in the CLI);
+    in float mode such a total makes ``abs_diff`` and ``rel_diff`` inf, a fail.
     """
     if graph is None and not exact:
         graph = pa_to_mkp(s)
@@ -295,7 +297,10 @@ def verify_measure_equality(
     # rational mode compares exact values, whose float() can overflow
     x, y = (m_pa, m_mkp) if exact else (_as_float(m_pa), _as_float(m_mkp))
     diff = abs(x - y)
-    rel_diff = float(diff / max(abs(x), abs(y))) if diff else 0.0
+    if not diff < math.inf:  # a float side beyond float range: inf - inf is nan
+        diff = rel_diff = math.inf
+    else:
+        rel_diff = float(diff / max(abs(x), abs(y))) if diff else 0.0
     return MeasureEqualityReport(
         m_pa=m_pa,
         m_mkp=m_mkp,

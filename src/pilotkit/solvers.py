@@ -266,9 +266,10 @@ def brute_force_exact(
     """
     t0 = time.perf_counter()
     payload = s.beta_sq_exact is not None  # then it, not beta, gives the exact W: round that
-    pairs = interference_pairs(s, exact=payload)
+    pairs = interference_pairs(s, exact=payload)  # exact pairs decide near-ties themselves
     _, best, visited = _min_over_surjections(
-        s.k_users, s.tau_pilots, pairs, budget, lambda: interference_pairs(s, exact=True),
+        s.k_users, s.tau_pilots, pairs, budget,
+        None if payload else lambda: interference_pairs(s, exact=True),
         2.0**-52 if payload else _w_error(s),
     )
     a = PilotAssignment(best, s.tau_pilots)

@@ -19,7 +19,7 @@ import warnings
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "ValidationResult",
     "validate_system",
     "generate_system",
-    "compute_gamma_default",
     "uplink_rate",
     "uplink_rates",
     "system_throughput",
@@ -110,10 +109,6 @@ class PilotAssignment:
     def n_users(self) -> int:
         return len(self.pilot_of)
 
-    def relabeled(self, perm: Sequence[int]) -> "PilotAssignment":
-        """Apply a bijection on pilot labels (perm[p] is the new label of p)."""
-        return PilotAssignment(tuple(perm[p] for p in self.pilot_of), self.n_pilots)
-
 
 @dataclass(frozen=True, eq=False)
 class CfMmimoSystem:
@@ -127,7 +122,9 @@ class CfMmimoSystem:
     certificates avoid square-root rounding; it is filled in by the
     graph-to-system construction in rational mode, stored as a read-only
     K x M object array of Fractions, ignored by the floating-point paths
-    and read by rational mode as ints (``_integer_beta_squares``).
+    and read by rational mode as ints (``_integer_beta_squares``). beta,
+    gamma and eta are kept as read-only float arrays: an input array the
+    caller can still write is copied, a read-only one is kept as is.
     """
 
     m_aps: int
@@ -142,14 +139,13 @@ class CfMmimoSystem:
     beta_sq_exact: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        beta = np.ascontiguousarray(np.asarray(self.beta, dtype=float))
-        gamma = np.ascontiguousarray(np.asarray(self.gamma, dtype=float))
-        eta = np.ascontiguousarray(np.asarray(self.eta, dtype=float))
-        for arr in (beta, gamma, eta):
+        for name in ("beta", "gamma", "eta"):
+            given = getattr(self, name)
+            arr = np.ascontiguousarray(given, dtype=float)
+            if arr.flags.writeable and (arr is given or arr.base is not None):
+                arr = arr.copy()  # the caller's memory, still writable: keep a copy
             arr.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "eta", eta)
+            object.__setattr__(self, name, arr)
         if self.beta_sq_exact is not None:
             # with int parts: a numpy integer inside a Fraction overflows
             rows = [
@@ -380,24 +376,11 @@ def _parse_ap_rule(rule: str) -> tuple[str, int | float]:
 
 
 def _gamma_from_beta(beta: np.ndarray, rho_p: float, tau: int) -> np.ndarray:
+    """The default gamma, tau rho_p beta**2 / (tau rho_p beta + 1): the contamination-free
+    LMMSE estimate quality of a pilot of length tau sent at SNR rho_p."""
     with np.errstate(over="ignore", invalid="ignore"):  # validate_system refuses a non-finite gamma
         x = tau * rho_p * beta
         return np.where(beta > 0, x * beta / (x + 1.0), 0.0)
-
-
-def compute_gamma_default(s: CfMmimoSystem, rho_p: float, tau: int) -> np.ndarray:
-    """Default mean-square channel-estimate matrix.
-
-    gamma[k, m] = tau * rho_p * beta[k, m]**2 / (tau * rho_p * beta[k, m] + 1),
-    the contamination-free LMMSE estimate quality for a pilot of length tau
-    sent at SNR rho_p. Satisfies 0 <= gamma < beta wherever beta > 0 and
-    saturates to beta as tau * rho_p grows.
-    """
-    if not rho_p > 0:
-        raise ValueError(f"rho_p must be positive, got {rho_p}")
-    if tau < 1:
-        raise ValueError(f"tau must be a positive integer, got {tau}")
-    return _gamma_from_beta(s.beta, rho_p, tau)
 
 
 def _serving_sets(beta: np.ndarray, rule_kind: str, rule_arg) -> tuple[tuple[int, ...], ...]:
@@ -479,6 +462,8 @@ def generate_system(
     serving = _serving_sets(beta, rule_kind, rule_arg)
     gamma = _gamma_from_beta(beta, cfg.rho_u, tau_pilots)
     eta = np.full(k_users, 1.0 if cfg.eta_policy == "full" else 1.0 / k_users)
+    for arr in (beta, gamma, eta):
+        arr.setflags(write=False)  # read-only, so the system keeps them without a copy
 
     s = CfMmimoSystem(
         m_aps=m_aps,

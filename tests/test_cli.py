@@ -463,6 +463,15 @@ class TestVerify:
         assert run("verify", "--graph", gpath, "--partition", ppath) == 3
         assert capsys.readouterr().out.startswith("FAIL mode=float")
 
+    def test_float_totals_beyond_float_range_print_inf(self, tmp_path, capsys):
+        # inf - inf is nan: the difference of two overflowed totals reads inf
+        gpath = tmp_path / "g.txt"
+        write_graph(gpath, WeightedGraph(3, 1, {(0, 1): 1e308, (1, 2): 1e308}))
+        ppath = tmp_path / "p.txt"
+        ppath.write_text("mkp-partition/1\nvertices 3\nparts 1\nassign 0 0 0\n")
+        assert run("verify", "--graph", gpath, "--partition", ppath) == 3
+        assert capsys.readouterr().out == "FAIL mode=float m_pa=inf m_mkp=inf rel_diff=inf\n"
+
     def test_block_sum_beyond_float_range_prints_no_warning(self, tmp_path):
         # in a fresh interpreter, so numpy's warnings would reach stderr
         gpath = tmp_path / "g.txt"

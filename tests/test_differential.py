@@ -96,8 +96,9 @@ def test_interference_matrix_matches_pairwise_float(rule):
 
 
 def test_interference_matrix_matches_pairwise_exact():
-    # The scalar exact weight is an entry of the memoised W; the reference
-    # matrix divides Fraction beta squares, so the check stays independent.
+    # The scalar exact weight builds its one pair from the memoised integer
+    # rows; the reference matrix divides Fraction beta squares, so the check
+    # stays independent.
     for seed in range(3):
         s = _system((6, 16, 2), seed, "top:8")
         w = reference.interference_exact(s)
@@ -109,11 +110,26 @@ def test_interference_matrix_matches_pairwise_exact():
                     assert type(value) is Fraction and value == w[i][j]
 
 
+def _assert_exact_pairs_match_reference(s, ref):
+    """Every exact pair weight, from interference_pairs, pa_to_mkp and
+    pairwise_interference (both argument orders), is ref's entry."""
+    k = s.k_users
+    upper = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    pairs = interference_pairs(s, exact=True)
+    assert [(i, j) for i, j, _ in pairs] == upper
+    assert all(type(w) is Fraction and w == ref[i, j] for i, j, w in pairs)
+    weights = pa_to_mkp(s, exact=True).weights
+    assert all(type(w) is Fraction for w in weights.values())
+    assert weights == {(i, j): ref[i, j] for i, j in upper}
+    for i, j in upper:
+        value = pairwise_interference(s, i, j, exact=True)
+        assert type(value) is Fraction and value == ref[i, j]
+        assert pairwise_interference(s, j, i, exact=True) == value
+
+
 def _assert_exact_matches_reference(s, seeds=(0, 1, 2)):
-    w = interference_matrix(s, exact=True)
     ref = reference.interference_exact(s)
-    assert all(type(x) is Fraction for x in w.flat)
-    assert w.tolist() == ref.tolist()
+    _assert_exact_pairs_match_reference(s, ref)
     for seed in seeds:
         a = random_feasible(s, seed)
         value = contamination_objective(s, a, exact=True)
@@ -630,7 +646,7 @@ def test_exact_graph_side_matches_fraction_sum_on_payload_systems(dummy_aps):
 
 
 def test_derived_exact_verify_builds_only_co_block_weights(monkeypatch):
-    # a fresh system: neither the exact pair matrix nor a graph is built
+    # a fresh system: only the co-block pairs' exact weights, and no graph, are built
     s = _system((20, 64, 4), 7)
     a = local_search_move(s, random_feasible(s, 7)).assignment
 
@@ -641,7 +657,8 @@ def test_derived_exact_verify_builds_only_co_block_weights(monkeypatch):
         patch.setattr(WeightedGraph, "__post_init__", refuse)
         rep = verify_measure_equality(s, a, exact=True)
     assert rep.passed and type(rep.m_mkp) is Fraction
-    assert objective._interference_exact not in system_model._DERIVED[s]
+    # the float W of the local search and the integer rows: no exact pair is kept
+    assert set(system_model._DERIVED[s]) == {system_model._user_terms, objective._exact_rows}
     assert rep == verify_measure_equality(s, a, exact=True, graph=pa_to_mkp(s, exact=True))
 
 
@@ -674,6 +691,37 @@ def test_exact_verify_matches_reference(case, seed):
     for graph in (None, pa_to_mkp(s, exact=True)) + ((g,) if g else ()):
         rep = _assert_report_matches_reference(s, a, graph)
         assert rep.passed and rep.m_pa == value
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=wide_systems(WIDE | SUBNORMAL).map(lambda s: (s, None)) | payload_systems())
+def test_exact_pairs_match_reference_on_wide_and_payload_systems(case):
+    s, _ = case
+    _assert_exact_pairs_match_reference(s, reference.interference_exact(s))
+
+
+def test_exact_pair_weight_reads_its_one_pair():
+    s = _system((20, 64, 4), 8)
+    value = pairwise_interference(s, 11, 3, exact=True)
+    assert set(system_model._DERIVED[s]) == {objective._exact_rows}
+    assert value == reference.interference_exact(s)[3, 11]
+
+
+def test_payload_brute_force_builds_its_exact_pairs_once(monkeypatch):
+    # K4 in two blocks: the three balanced partitions tie, so exact sums decide
+    s = mkp_to_pa(coloring_to_mkp(4, itertools.combinations(range(4), 2), 2), exact=True)
+    built, decided = [], []
+
+    def spy(calls, fn):
+        return lambda *args: calls.append(1) or fn(*args)
+
+    monkeypatch.setattr(objective, "_exact_pairs", spy(built, objective._exact_pairs))
+    monkeypatch.setattr(
+        solvers, "_over_common_denominator", spy(decided, solvers._over_common_denominator)
+    )
+    report = brute_force_exact(s, exact=True)
+    assert report.assignment.pilot_of == (0, 0, 1, 1) and report.objective == 2
+    assert len(built) == len(decided) == 1
 
 
 @pytest.mark.parametrize("case", ["tau=K", "K=1", "K=1 subnormal"])
@@ -884,7 +932,7 @@ def test_format_instance_matches_reference(shape):
             assert all(row.startswith("gamma ") for row in ref[-k:])
             # any other gamma keeps its rows under pa-instance/1, byte for byte
             other = dataclasses.replace(
-                s, gamma=system_model.compute_gamma_default(s, 2 * s.rho_u, s.tau_pilots)
+                s, gamma=system_model._gamma_from_beta(s.beta, 2 * s.rho_u, s.tau_pilots)
             )
             assert format_instance(other) == reference.format_instance(other)
 

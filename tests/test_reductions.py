@@ -398,6 +398,16 @@ class TestVerifyMeasureEquality:
             rep = verify_measure_equality(s, a, graph=g)
         assert not rep.passed and rep.m_pa == math.inf
 
+    @pytest.mark.parametrize("pass_graph", [False, True])
+    def test_float_total_beyond_float_range_reports_inf_not_nan(self, pass_graph):
+        # both float totals overflow, and inf - inf is nan; then one side only
+        g = WeightedGraph(3, 1, {(0, 1): 1e308, (1, 2): 1e308})
+        s, a = mkp_to_pa(g), PilotAssignment((0, 0, 0), 1)
+        for graph, m_mkp in ((g if pass_graph else None, math.inf), (WeightedGraph(3, 1, {}), 0)):
+            rep = verify_measure_equality(s, a, graph=graph)
+            assert rep.m_pa == math.inf and rep.m_mkp == m_mkp and rep.mode == "float"
+            assert rep.abs_diff == rep.rel_diff == math.inf and not rep.passed
+
     def test_infeasible_assignment_rejected(self, unit_pair_system):
         with pytest.raises(InfeasibleAssignmentError):
             verify_measure_equality(unit_pair_system, PilotAssignment((0,), 1))

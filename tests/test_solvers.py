@@ -28,6 +28,7 @@ from pilotkit import (
     greedy_feasible,
     greedy_worst_user,
     interference_matrix,
+    interference_pairs,
     local_search_move,
     mkp_objective,
     mkp_to_pa,
@@ -280,18 +281,18 @@ class TestBruteForcePartition:
 
 class TestFloatWeightBound:
     """Every entry w' of the float W is within rel * w' + rel * 2**-1018 of
-    the exact W of the same beta, ``interference_matrix(s, exact=True)``,
-    rel being ``_w_error``'s, and an entry that overflowed has an exact one
+    the exact W of the same beta, ``interference_pairs(s, exact=True)``
+    (which is ``reference.interference_exact``), rel being ``_w_error``'s, and an entry that overflowed has an exact one
     within rel of the float overflow threshold 2**1024 - 2**970 or above it."""
 
     @staticmethod
     def assert_within_bound(s):
         w = interference_matrix(s)
-        w_exact = interference_matrix(s, exact=True)
+        ref = reference.interference_exact(s)
         rel = solvers._w_error(s)
         tiny = Fraction(rel) / 2**1018
-        for k, j in zip(*np.triu_indices(s.k_users, 1)):
-            exact = w_exact[k, j]
+        for k, j, exact in interference_pairs(s, exact=True):
+            assert exact == ref[k, j]
             got = float(w[k, j])
             if got == math.inf:
                 assert exact * (1 + Fraction(rel)) >= 2**1024 - 2**970

@@ -15,12 +15,12 @@ from pilotkit import (
     InfeasibleAssignmentError,
     PilotAssignment,
     WeightedGraph,
-    compute_gamma_default,
     contamination_objective,
     generate_system,
     greedy_feasible,
     greedy_worst_user,
     interference_matrix,
+    interference_pairs,
     local_search_move,
     mkp_to_pa,
     pa_to_mkp,
@@ -33,7 +33,11 @@ from pilotkit import (
 )
 from pilotkit.fileio import format_instance
 from pilotkit.solvers import random_feasible
-from pilotkit.system_model import _integer_beta_squares, _over_common_denominator
+from pilotkit.system_model import (
+    _gamma_from_beta,
+    _integer_beta_squares,
+    _over_common_denominator,
+)
 
 import reference
 from conftest import count_validations, make_system, small_random_system
@@ -71,10 +75,6 @@ class TestPilotAssignment:
     def test_huge_pilot_count_fails_at_once(self):
         with pytest.raises(InfeasibleAssignmentError, match="not surjective: 10+ pilots for 2"):
             PilotAssignment((0, 1), 10**18)
-
-    def test_relabeled(self):
-        a = PilotAssignment((0, 1, 1), 2)
-        assert a.relabeled([1, 0]).pilot_of == (1, 0, 0)
 
 
 class TestValidateSystem:
@@ -320,37 +320,44 @@ class TestGenerateSystem:
         with pytest.raises(ValueError):
             s.beta[0, 0] = 2.0
 
+    def test_callers_arrays_stay_writable(self):
+        # the system copies an array its caller can still write, and keeps
+        # the read-only arrays generate_system hands over without a copy
+        s = generate_system(GenerationConfig(seed=6), 8, 4, 2)
+        g = s.gamma.copy()
+        s2 = dataclasses.replace(s, gamma=g)
+        g[0, 0] = 0.25
+        assert s2.gamma[0, 0] == s.gamma[0, 0] != 0.25
+        assert not s2.gamma.flags.writeable and s2.beta is s.beta
+        beta = np.ones((3, 1))
+        s3 = make_system(beta[:2], [(0,), (0,)], tau=1)  # a view of the caller's array
+        beta[:] = 2.0
+        assert s3.beta.tolist() == [[1.0], [1.0]]
+
 
 class TestGammaDefault:
     def test_half_at_unit_product(self):
         # beta = 1 and tau * rho_p = 1 puts the estimate quality at 1/2
         s = make_system([[1.0]], [(0,)], tau=1)
-        g = compute_gamma_default(s, rho_p=1.0, tau=1)
+        g = _gamma_from_beta(s.beta, 1.0, 1)
         assert g[0, 0] == pytest.approx(0.5, rel=1e-15)
 
     def test_zero_beta_gives_zero(self):
         s = make_system([[1.0, 0.0]], [(0,)], tau=1)
-        g = compute_gamma_default(s, rho_p=2.0, tau=3)
+        g = _gamma_from_beta(s.beta, 2.0, 3)
         assert g[0, 1] == 0.0
 
     def test_saturates_to_beta(self):
         s = make_system([[1.0]], [(0,)], tau=1)
-        g = compute_gamma_default(s, rho_p=1e12, tau=1)
+        g = _gamma_from_beta(s.beta, 1e12, 1)
         assert g[0, 0] == pytest.approx(1.0, rel=1e-9)
 
     def test_strictly_below_beta(self):
         s = small_random_system(seed=11)
-        g = compute_gamma_default(s, rho_p=100.0, tau=2)
+        g = _gamma_from_beta(s.beta, 100.0, 2)
         mask = s.beta > 0
         assert np.all(g[mask] < s.beta[mask])
         assert np.all(g >= 0)
-
-    def test_rejects_bad_parameters(self):
-        s = make_system([[1.0]], [(0,)], tau=1)
-        with pytest.raises(ValueError):
-            compute_gamma_default(s, rho_p=0.0, tau=1)
-        with pytest.raises(ValueError):
-            compute_gamma_default(s, rho_p=1.0, tau=0)
 
 
 class TestUplinkRate:
@@ -386,7 +393,7 @@ class TestUplinkRate:
     def test_label_invariance(self, rate_example_system):
         s = rate_example_system
         a = PilotAssignment((0, 0, 1), 2)
-        b = a.relabeled([1, 0])
+        b = PilotAssignment((1, 1, 0), 2)  # labels swapped
         for k in range(3):
             assert uplink_rate(s, a, k) == pytest.approx(uplink_rate(s, b, k), rel=1e-15)
 
@@ -436,7 +443,7 @@ class TestThroughput:
     def test_label_invariance(self):
         s = small_random_system(seed=21, k_users=6, tau=3)
         a = random_feasible(s, 5)
-        b = a.relabeled([2, 0, 1])
+        b = PilotAssignment(tuple((2, 0, 1)[p] for p in a.pilot_of), 3)
         assert system_throughput(s, a) == pytest.approx(system_throughput(s, b), rel=1e-12)
 
 
@@ -465,9 +472,14 @@ class TestExactBetaSquares:
         g = WeightedGraph(3, 2, {(0, 1): Fraction(1, 3), (1, 2): 2})
         payload = mkp_to_pa(g, n_dummy_aps=1, exact=True).beta_sq_exact
         assert payload.shape == (3, 4) and payload[1, 0] == payload[0, 1] == Fraction(1, 6)
-        for arr in (payload, interference_matrix(s, exact=True)):
-            assert arr.dtype == object and not arr.flags.writeable
-            assert all(type(x) is Fraction for x in arr.flat)
+        assert payload.dtype == object and not payload.flags.writeable
+        assert all(type(x) is Fraction for x in payload.flat)
+        want = reference.interference_exact(s)
+        pairs = interference_pairs(s, exact=True)
+        assert all(type(w) is Fraction for *_, w in pairs)
+        k = s.k_users
+        assert [(i, j) for i, j, _ in pairs] == [(i, j) for i in range(k) for j in range(i + 1, k)]
+        assert [w for *_, w in pairs] == [want[i, j] for i, j, _ in pairs]
 
     def test_int_payload_entries_become_fractions(self):
         # user 0 served by AP 0, user 1 by AP 1: w(0, 1) = 1/1 + 1/3
