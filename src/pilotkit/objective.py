@@ -129,11 +129,17 @@ def _upper_triangle(s: CfMmimoSystem, exact: bool) -> tuple[list[int], list[int]
     """Rows, columns and weights of every pair i < j, in lexicographic order:
     floats read from W, or with ``exact`` Fractions built pair by pair."""
     _require_valid(s)  # before k_users is read
-    ii, jj = np.triu_indices(s.k_users, 1)
-    rows, cols = ii.tolist(), jj.tolist()
-    if exact:
-        return rows, cols, [Fraction(*r) for r in _exact_pairs(s, rows, cols)[1]]
-    return rows, cols, interference_matrix(s)[ii, jj].tolist()
+    if not exact:
+        return _triangle(interference_matrix(s))
+    rows, cols = (x.tolist() for x in np.triu_indices(s.k_users, 1))
+    return rows, cols, [Fraction(*r) for r in _exact_pairs(s, rows, cols)[1]]
+
+
+def _triangle(w: np.ndarray) -> tuple[list[int], list[int], list[float]]:
+    """Rows, columns and entries of a float matrix above its diagonal, in
+    lexicographic order, as Python ints and floats."""
+    ii, jj = np.triu_indices(len(w), 1)
+    return ii.tolist(), jj.tolist(), w[ii, jj].tolist()
 
 
 def interference_pairs(s: CfMmimoSystem, exact: bool = False) -> list[tuple[int, int, Weight]]:
@@ -143,7 +149,9 @@ def interference_pairs(s: CfMmimoSystem, exact: bool = False) -> list[tuple[int,
 
 def _co_pilot_pairs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the co-pilot pairs i < j, lexicographic."""
-    return np.nonzero(np.triu(labels[:, None] == labels[None, :], 1))
+    ii, jj = np.nonzero(labels[:, None] == labels)
+    upper = ii < jj
+    return ii[upper], jj[upper]
 
 
 def co_pilot_sum(w: np.ndarray, labels: np.ndarray) -> float:

@@ -17,6 +17,7 @@ tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .objective import _co_pilot_pairs, _exact_pairs, _exact_terms, _exact_total
-from .objective import _upper_triangle, contamination_objective
+from .objective import _triangle, _upper_triangle, contamination_objective, interference_matrix
 from .system_model import (
     CfMmimoSystem,
     PilotAssignment,
@@ -60,6 +61,12 @@ class InvalidPartitionError(ValueError):
     """A vertex partition with an empty block or out-of-range labels."""
 
 
+def _upper_weights(w: np.ndarray) -> dict[tuple[int, int], float]:
+    """{(i, j): w[i, j]} for every pair i < j, in lexicographic order."""
+    ii, jj, values = _triangle(w)
+    return dict(zip(zip(ii, jj), values))
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Undirected edge-weighted graph, the Min-k-Partition instance.
@@ -68,6 +75,10 @@ class WeightedGraph:
     nonnegative weights; absent pairs weigh 0. Weights may be int, float
     or Fraction; rational weights keep partition objectives exact. numpy
     integer and floating scalars are stored as int and float.
+
+    The float graph of a system (``pa_to_mkp``) holds the system's
+    read-only matrix W instead, without a copy, and builds weights, every
+    pair i < j in lexicographic order, zero weights kept, on first read.
     """
 
     n_vertices: int
@@ -102,6 +113,44 @@ class WeightedGraph:
                 raise ValueError(f"conflicting weights for edge {key}")
             norm[key] = w
         object.__setattr__(self, "weights", norm)
+
+    @classmethod
+    def _of_matrix(cls, w: np.ndarray, k_parts: int) -> "WeightedGraph":
+        """The complete graph of a read-only symmetric float matrix with a
+        zero diagonal, held as it is, with k_parts in [1, len(w)]. Entries
+        that are not all finite and nonnegative are refused through the dict
+        constructor, so the error names the first bad edge."""
+        if not (0.0 <= w.min() and w.max() < math.inf):
+            return cls(len(w), k_parts, _upper_weights(w))
+        g = cls.__new__(cls)
+        object.__setattr__(g, "n_vertices", len(w))
+        object.__setattr__(g, "k_parts", k_parts)
+        object.__setattr__(g, "_matrix", w)
+        return g
+
+    def __getattr__(self, name: str):
+        # Only attributes not set are looked up here: the weights of a graph
+        # built from a matrix, before their first read.
+        if name != "weights" or "_matrix" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        weights = _upper_weights(self._matrix)
+        object.__setattr__(self, "weights", weights)
+        return weights
+
+    def matrix(self) -> np.ndarray:
+        """The read-only n x n float64 matrix of the weights, 0 off the edges:
+        the matrix the graph was built from, or one built from weights on the
+        first call (each weight converted by float())."""
+        w = self.__dict__.get("_matrix")
+        if w is None:
+            w = np.zeros((self.n_vertices, self.n_vertices))
+            if self.weights:
+                ends = np.fromiter(itertools.chain.from_iterable(self.weights), dtype=int)
+                ii, jj = ends[0::2], ends[1::2]
+                w[ii, jj] = w[jj, ii] = np.fromiter(self.weights.values(), dtype=float)
+            w.setflags(write=False)
+            object.__setattr__(self, "_matrix", w)
+        return w
 
     def weight(self, i: int, j: int) -> Weight:
         key = (i, j) if i < j else (j, i)
@@ -164,8 +213,12 @@ def pa_to_mkp(s: CfMmimoSystem, exact: bool = False) -> WeightedGraph:
 
     Complete graph on the users (zero-weight edges kept explicit), edge
     weight equal to the pairwise interference, block count equal to the
-    pilot count. Raises ValueError on an invalid system.
+    pilot count. The float graph holds ``interference_matrix(s)`` and builds
+    its weights dict on first read. Raises ValueError on an invalid system
+    or a weight that is not finite.
     """
+    if not exact:
+        return WeightedGraph._of_matrix(interference_matrix(s), s.tau_pilots)
     ii, jj, values = _upper_triangle(s, exact)
     return WeightedGraph(s.k_users, s.tau_pilots, dict(zip(zip(ii, jj), values)))
 

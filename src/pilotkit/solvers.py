@@ -30,6 +30,7 @@ from .system_model import (
     PilotAssignment,
     _index,
     _over_common_denominator,
+    _rates,
     _require_valid,
     check_assignment,
     system_throughput,
@@ -350,6 +351,9 @@ def greedy_worst_user(
     the move only if the system-wide worst rate strictly improves; stops
     at the first rejected move or after max_rounds accepted ones. The
     worst-user rate is therefore non-decreasing from init to output.
+    A move changes the co-pilots of the users on its two pilots only, so
+    only their rates are computed again, each the float ``uplink_rates``
+    gives.
     """
     check_assignment(s, init)
     t0 = time.perf_counter()
@@ -358,13 +362,14 @@ def greedy_worst_user(
     rates = uplink_rates(s, current)
     accepted = 0
     while accepted < max_rounds:
-        worst = min(range(k_users), key=lambda k: (rates[k], k))
-        if current.pilot_of.count(current.pilot_of[worst]) < 2:
+        worst = min(range(k_users), key=rates.__getitem__)  # the first minimum
+        own = current.pilot_of[worst]
+        if current.pilot_of.count(own) < 2:
             break  # moving the worst user would empty its pilot
         best_rate = rates[worst]
         best = None
         for p in range(tau):
-            if p == current.pilot_of[worst]:
+            if p == own:
                 continue
             cand = list(current.pilot_of)
             cand[worst] = p
@@ -374,22 +379,17 @@ def greedy_worst_user(
                 best_rate, best = r, cand_a
         if best is None:
             break
-        cand_rates = uplink_rates(s, best)
+        labels = np.asarray(best.pilot_of)
+        moved = np.flatnonzero((labels == own) | (labels == labels[worst]))
+        cand_rates = rates.copy()
+        for k, r in zip(moved.tolist(), _rates(s, labels, moved)):
+            cand_rates[k] = r
         if min(cand_rates) > min(rates):
             current, rates = best, cand_rates
             accepted += 1
         else:
             break
     return SolveReport.of(s, current, "worst-user", t0, accepted)
-
-
-def _dense_weights(g: WeightedGraph) -> np.ndarray:
-    w = np.zeros((g.n_vertices, g.n_vertices))
-    if g.weights:
-        ends = np.fromiter(itertools.chain.from_iterable(g.weights), dtype=int)
-        ii, jj = ends[0::2], ends[1::2]
-        w[ii, jj] = w[jj, ii] = np.fromiter(g.weights.values(), dtype=float)
-    return w
 
 
 def _up(x: float) -> float:
@@ -428,7 +428,7 @@ def local_search_move(
     """
     check_assignment(s, init)
     t0 = time.perf_counter()
-    w = _dense_weights(pa_to_mkp(s))
+    w = pa_to_mkp(s).matrix()
     k_users, tau = s.k_users, s.tau_pilots
     users = np.arange(k_users)
     labels = np.array(init.pilot_of)

@@ -522,7 +522,8 @@ def _user_terms(s: CfMmimoSystem) -> tuple[np.ndarray, ...]:
 
 
 def _rates(s: CfMmimoSystem, labels: np.ndarray, users) -> list[float]:
-    """Rates of users (a slice), in one masked pass."""
+    """Rates of users (a slice or an index array), in one masked pass; each
+    row is computed on its own, so a user's rate does not depend on the others."""
     _, numerator, noncoherent, noise, coherent = derived(s, _user_terms)
     # Each row adds its co-pilot terms one at a time in user order, as a
     # loop does; the others add +0.0, which changes no nonnegative sum.

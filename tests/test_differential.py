@@ -20,7 +20,11 @@ edge sends the term-by-term certificate to its fallback; the row-wise
 instance writer against the
 per-element one, byte for byte, but for the one-line default gamma;
 the row-wise serving sets and the generator against the per-user
-selection loop, bit for bit.
+selection loop, bit for bit; the float graph of ``pa_to_mkp``, which
+holds W, against the graph of the ``interference_pairs`` dict, and the
+matrix of a graph built from a dict against ``reference.dense_weights``;
+worst-user's rates, rescored on a move's two pilots, against
+``uplink_rates``, bit for bit.
 """
 
 import dataclasses
@@ -33,7 +37,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pilotkit import (
@@ -48,6 +52,7 @@ from pilotkit import (
     contamination_report,
     count_surjective_assignments,
     generate_system,
+    graphs_equal,
     greedy_worst_user,
     interference_matrix,
     local_search_move,
@@ -62,7 +67,7 @@ from pilotkit import (
     verify_measure_equality,
 )
 from pilotkit import objective, reductions, solvers, system_model
-from pilotkit.fileio import format_instance
+from pilotkit.fileio import format_graph, format_instance
 from pilotkit.objective import interference_pairs
 
 import reference
@@ -289,16 +294,51 @@ def test_local_search_matches_reference_on_wide_weights(n, tau, seed):
     assert (report.assignment, report.iterations, report.objective) == (labels, moves, objective)
 
 
-@pytest.mark.parametrize("shape, seed", CASES)
-def test_worst_user_matches_reference(shape, seed):
-    s = _system(shape, seed)
-    init = random_feasible(s, seed)
-    report = greedy_worst_user(s, init)
-    labels, rounds, rates = reference.greedy_worst_user(s, init)
+def _assert_worst_user_matches_reference(s, init):
+    """greedy_worst_user gives the reference's labels and rounds, and the
+    rates it holds, the users on a move's two pilots rescored, are the
+    ``uplink_rates`` of each candidate and of the result, by float.hex.
+    Returns the report and whether its last candidate was rejected."""
+    calls = []
+
+    def spy(s, labels, users):
+        rates = system_model._rates(s, labels, users)
+        calls.append((tuple(labels.tolist()), users.tolist(), rates))
+        return rates
+
+    with mock.patch.object(solvers, "_rates", side_effect=spy):
+        report = greedy_worst_user(s, init)
+    labels, rounds, ref_rates = reference.greedy_worst_user(s, init)
     assert report.assignment == labels
     assert report.iterations == rounds
-    assert math.isclose(report.throughput, sum(rates), rel_tol=REL)
-    assert report.objective == contamination_objective(s, labels)
+    assert math.isclose(report.throughput, sum(ref_rates), rel_tol=REL)
+    # every candidate but a rejected last one is accepted
+    assert len(calls) - rounds in (0, 1)
+    rates = uplink_rates(s, init)
+    for n, (cand, users, got) in enumerate(calls):
+        kept = list(rates)
+        for k, r in zip(users, got):
+            kept[k] = r
+        full = uplink_rates(s, PilotAssignment(cand, s.tau_pilots))
+        assert [r.hex() for r in kept] == [r.hex() for r in full]
+        if n < rounds:
+            rates = kept
+    assert [r.hex() for r in rates] == [r.hex() for r in uplink_rates(s, report.assignment)]
+    return report, len(calls) > rounds
+
+
+# (shape, seed) whose last worst-user candidate raises the worst user's rate
+# but not the minimum rate, so it is rejected: after 2 and after 0 accepted moves
+REJECTING = [((10, 32, 3), 4), ((10, 32, 3), 18)]
+
+
+@pytest.mark.parametrize("shape, seed", CASES + REJECTING)
+def test_worst_user_matches_reference(shape, seed):
+    s = _system(shape, seed)
+    report, rejected = _assert_worst_user_matches_reference(s, random_feasible(s, seed))
+    assert rejected == ((shape, seed) in REJECTING)
+    assert report.iterations > 0 or rejected
+    assert report.objective == contamination_objective(s, report.assignment)
 
 
 @pytest.mark.parametrize("shape, seed", CASES)
@@ -352,12 +392,7 @@ def test_uplink_rates_zero_for_silent_users():
 @pytest.mark.parametrize("edge", RATE_EDGES)
 def test_worst_user_matches_reference_on_edge_systems(edge):
     s = _rate_edge_system(edge)
-    init = random_feasible(s, 5)
-    report = greedy_worst_user(s, init)
-    labels, rounds, rates = reference.greedy_worst_user(s, init)
-    assert report.assignment == labels
-    assert report.iterations == rounds
-    assert math.isclose(report.throughput, sum(rates), rel_tol=REL)
+    _assert_worst_user_matches_reference(s, random_feasible(s, 5))
 
 
 # (K, M, tau) of the enumerator comparisons: ordinary shapes, then the
@@ -650,11 +685,16 @@ def test_derived_exact_verify_builds_only_co_block_weights(monkeypatch):
     s = _system((20, 64, 4), 7)
     a = local_search_move(s, random_feasible(s, 7)).assignment
 
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("verify built a WeightedGraph")
 
     with monkeypatch.context() as patch:
+        # the two ways a graph is built: from a dict, and from a system's W
         patch.setattr(WeightedGraph, "__post_init__", refuse)
+        patch.setattr(WeightedGraph, "_of_matrix", refuse)
+        for exact in (False, True):
+            with pytest.raises(AssertionError, match="verify built"):
+                pa_to_mkp(s, exact=exact)
         rep = verify_measure_equality(s, a, exact=True)
     assert rep.passed and type(rep.m_mkp) is Fraction
     # the float W of the local search and the integer rows: no exact pair is kept
@@ -698,6 +738,57 @@ def test_exact_verify_matches_reference(case, seed):
 def test_exact_pairs_match_reference_on_wide_and_payload_systems(case):
     s, _ = case
     _assert_exact_pairs_match_reference(s, reference.interference_exact(s))
+
+
+def _assert_float_graph_matches_pairs(s, seed):
+    """pa_to_mkp(s) holds W and gives, against the graph built from the dict
+    of interference_pairs(s), the same weights (keys in order, values by
+    float.hex), file bytes, partition objective and equality; when a
+    weight is not finite, pa_to_mkp refuses with the error naming the first."""
+    pairs = interference_pairs(s)
+    bad = [(i, j, w) for i, j, w in pairs if not w < math.inf]
+    if bad:
+        i, j, w = bad[0]
+        with pytest.raises(ValueError) as err:
+            pa_to_mkp(s)
+        assert str(err.value) == f"non-finite weight {w} on edge ({i}, {j})"
+        return
+    g = pa_to_mkp(s)
+    assert g.matrix() is interference_matrix(s)
+    ref = WeightedGraph(s.k_users, s.tau_pilots, {(i, j): w for i, j, w in pairs})
+    assert all(type(w) is float for w in g.weights.values())
+    assert [(i, j, w.hex()) for (i, j), w in g.weights.items()] == [
+        (i, j, w.hex()) for i, j, w in pairs]
+    assert format_graph(g) == format_graph(ref)
+    p = Partition(random_feasible(s, seed).pilot_of, s.tau_pilots)
+    assert repr(mkp_objective(g, p)) == repr(mkp_objective(ref, p))
+    assert graphs_equal(g, ref) and graphs_equal(ref, g) and graphs_equal(g, pa_to_mkp(s))
+    if pairs:
+        other = WeightedGraph(s.k_users, s.tau_pilots, {**ref.weights, (0, 1): 1.0 + ref.weights[(0, 1)]})
+        assert graphs_equal(g, other) == graphs_equal(ref, other)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=wide_systems(WIDE | SUBNORMAL), seed=st.integers(0, 2**32 - 1))
+@example(s=make_system([[1e-300]], [(0,)], tau=1), seed=0)  # K = 1
+@example(s=make_system([[1.0, 1e-310, 3.0], [2.0, 5e-324, 1e150], [1e-150, 4.0, 1.0]],
+                       [(0,), (1, 2), (2,)], tau=3), seed=0)  # tau = K, subnormal serving links
+def test_float_graph_matches_interference_pairs_on_wide_systems(s, seed):
+    # beta log-uniform from 1e-150 to 1e151 with subnormal entries; tau = K
+    # and K = 1 among them, and weights that overflow. The pass that builds W
+    # also builds the rate terms, whose overflow warns.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_float_graph_matches_pairs(s, seed)
+
+
+@pytest.mark.parametrize("weight", ["int", "fraction", "float", "mixed"])
+def test_graph_matrix_of_a_dict_matches_reference(weight):
+    for seed in range(6):
+        n = 1 + seed
+        g = _graph(n, min(n, 2), seed, GRAPH_WEIGHTS[weight])
+        w = g.matrix()
+        assert w.dtype == np.float64 and not w.flags.writeable and g.matrix() is w
+        assert np.array_equal(w, reference.dense_weights(g))
 
 
 def test_exact_pair_weight_reads_its_one_pair():

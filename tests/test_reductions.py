@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -28,7 +29,8 @@ from pilotkit import (
     validate_system,
     verify_measure_equality,
 )
-from pilotkit.solvers import random_feasible
+from pilotkit.objective import interference_matrix
+from pilotkit.solvers import local_search_move, random_feasible
 
 from conftest import make_system, small_random_system
 
@@ -239,6 +241,50 @@ class TestPaToMkp:
         s = make_system([[0.0, 1.0], [1.0, 1.0]], [(0,), (1,)], tau=2)
         with pytest.raises(ValueError, match="invalid system"):
             pa_to_mkp(s)
+
+    def test_float_graph_holds_w_and_builds_weights_on_first_read(self):
+        s = small_random_system(seed=51, k_users=5, tau=2)
+        g = pa_to_mkp(s)
+        assert g.matrix() is interference_matrix(s)
+        assert "weights" not in vars(g)
+        weights = g.weights
+        assert g.weights is weights and list(weights) == list(itertools.combinations(range(5), 2))
+        assert weights == {(i, j): interference_matrix(s)[i, j] for i, j in weights}
+
+    def test_float_graph_is_immutable_and_equal_only_to_itself(self):
+        s = small_random_system(seed=52, k_users=4, tau=2)
+        for g in (pa_to_mkp(s), WeightedGraph(2, 1, {(0, 1): 1.0})):
+            for name, value in (("weights", {}), ("k_parts", 1), ("_matrix", np.zeros((2, 2)))):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(g, name, value)
+            with pytest.raises(AttributeError, match="no attribute 'edges'"):
+                g.edges
+        g = pa_to_mkp(s)
+        assert g == g and g != pa_to_mkp(s) and graphs_equal(g, pa_to_mkp(s))
+
+    def test_overflowed_weight_refused_by_graph_and_local_search(self):
+        # (beta[1, 0] / beta[0, 0])**2 = 1e320 overflows: W[0, 1] is inf
+        s = make_system([[1e-160, 1.0], [1.0, 1.0]], [(0,), (1,)], tau=1)
+        assert interference_matrix(s)[0, 1] == math.inf
+        message = "^non-finite weight inf on edge \\(0, 1\\)$"
+        with pytest.raises(ValueError, match=message):
+            pa_to_mkp(s)
+        with pytest.raises(ValueError, match=message):
+            local_search_move(s, PilotAssignment((0, 0), 1))
+
+    @pytest.mark.parametrize("bad, message", [
+        (math.inf, "non-finite weight inf"),
+        (math.nan, "non-finite weight nan"),
+        (-1.0, "negative weight -1.0"),
+    ])
+    def test_matrix_path_refuses_what_the_dict_path_refuses(self, bad, message):
+        w = np.zeros((3, 3))
+        w[1, 2] = w[2, 1] = bad
+        w.setflags(write=False)
+        with pytest.raises(ValueError, match=f"^{message} on edge \\(1, 2\\)$"):
+            WeightedGraph._of_matrix(w, 2)
+        with pytest.raises(ValueError, match=f"^{message} on edge \\(1, 2\\)$"):
+            WeightedGraph(3, 2, {(0, 1): 0.0, (1, 2): bad})
 
 
 class TestMkpToPa:

@@ -612,7 +612,7 @@ class TestLocalSearchGuard:
         assert report.assignment.pilot_of == (0, 0, 1, 0, 1)
         assert report.iterations == 1
         # the stopping move: negative gain, yet not lower when re-summed
-        w = solvers._dense_weights(pa_to_mkp(s))
+        w = pa_to_mkp(s).matrix()
         assert w[3, 2] - w[3, 0] - w[3, 1] - w[3, 4] < 0
         moved = PilotAssignment((0, 0, 1, 1, 1), 2)
         assert contamination_objective(s, moved) == report.objective
