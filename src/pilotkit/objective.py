@@ -149,9 +149,7 @@ def interference_pairs(s: CfMmimoSystem, exact: bool = False) -> list[tuple[int,
 
 def _co_pilot_pairs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the co-pilot pairs i < j, lexicographic."""
-    ii, jj = np.nonzero(labels[:, None] == labels)
-    upper = ii < jj
-    return ii[upper], jj[upper]
+    return np.nonzero(np.triu(labels[:, None] == labels[None, :], 1))
 
 
 def co_pilot_sum(w: np.ndarray, labels: np.ndarray) -> float:

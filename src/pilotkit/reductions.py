@@ -17,7 +17,6 @@ tolerance.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,19 +137,9 @@ class WeightedGraph:
         return weights
 
     def matrix(self) -> np.ndarray:
-        """The read-only n x n float64 matrix of the weights, 0 off the edges:
-        the matrix the graph was built from, or one built from weights on the
-        first call (each weight converted by float())."""
-        w = self.__dict__.get("_matrix")
-        if w is None:
-            w = np.zeros((self.n_vertices, self.n_vertices))
-            if self.weights:
-                ends = np.fromiter(itertools.chain.from_iterable(self.weights), dtype=int)
-                ii, jj = ends[0::2], ends[1::2]
-                w[ii, jj] = w[jj, ii] = np.fromiter(self.weights.values(), dtype=float)
-            w.setflags(write=False)
-            object.__setattr__(self, "_matrix", w)
-        return w
+        """The read-only float matrix W the graph of ``pa_to_mkp(s)`` holds.
+        A graph built from a weights dict holds none: AttributeError."""
+        return self._matrix
 
     def weight(self, i: int, j: int) -> Weight:
         key = (i, j) if i < j else (j, i)

@@ -30,7 +30,6 @@ from .system_model import (
     PilotAssignment,
     _index,
     _over_common_denominator,
-    _rates,
     _require_valid,
     check_assignment,
     system_throughput,
@@ -351,9 +350,6 @@ def greedy_worst_user(
     the move only if the system-wide worst rate strictly improves; stops
     at the first rejected move or after max_rounds accepted ones. The
     worst-user rate is therefore non-decreasing from init to output.
-    A move changes the co-pilots of the users on its two pilots only, so
-    only their rates are computed again, each the float ``uplink_rates``
-    gives.
     """
     check_assignment(s, init)
     t0 = time.perf_counter()
@@ -363,13 +359,12 @@ def greedy_worst_user(
     accepted = 0
     while accepted < max_rounds:
         worst = min(range(k_users), key=rates.__getitem__)  # the first minimum
-        own = current.pilot_of[worst]
-        if current.pilot_of.count(own) < 2:
+        if current.pilot_of.count(current.pilot_of[worst]) < 2:
             break  # moving the worst user would empty its pilot
         best_rate = rates[worst]
         best = None
         for p in range(tau):
-            if p == own:
+            if p == current.pilot_of[worst]:
                 continue
             cand = list(current.pilot_of)
             cand[worst] = p
@@ -379,11 +374,7 @@ def greedy_worst_user(
                 best_rate, best = r, cand_a
         if best is None:
             break
-        labels = np.asarray(best.pilot_of)
-        moved = np.flatnonzero((labels == own) | (labels == labels[worst]))
-        cand_rates = rates.copy()
-        for k, r in zip(moved.tolist(), _rates(s, labels, moved)):
-            cand_rates[k] = r
+        cand_rates = uplink_rates(s, best)
         if min(cand_rates) > min(rates):
             current, rates = best, cand_rates
             accepted += 1

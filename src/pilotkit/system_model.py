@@ -512,9 +512,9 @@ def _user_terms(s: CfMmimoSystem) -> tuple[np.ndarray, ...]:
             ratio = (g * ratios).sum(axis=1)
             coherent[k] = eta * ratio * ratio
         w = one_sided + one_sided.T
+        numerator = s.rho_u * eta * noise * noise
     np.fill_diagonal(w, 0.0)
     np.fill_diagonal(coherent, 0.0)
-    numerator = s.rho_u * eta * noise * noise
     terms = (w, numerator, noncoherent, noise, coherent)
     for arr in terms:
         arr.setflags(write=False)
@@ -522,8 +522,7 @@ def _user_terms(s: CfMmimoSystem) -> tuple[np.ndarray, ...]:
 
 
 def _rates(s: CfMmimoSystem, labels: np.ndarray, users) -> list[float]:
-    """Rates of users (a slice or an index array), in one masked pass; each
-    row is computed on its own, so a user's rate does not depend on the others."""
+    """Rates of users (a slice), in one masked pass."""
     _, numerator, noncoherent, noise, coherent = derived(s, _user_terms)
     # Each row adds its co-pilot terms one at a time in user order, as a
     # loop does; the others add +0.0, which changes no nonnegative sum.

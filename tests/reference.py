@@ -35,9 +35,6 @@ as before one row-wise pass picked every serving set.
 ``format_instance`` is the instance writer that formatted one numpy
 scalar at a time, before each row was written with one ``map(repr, ...)``
 over its ``tolist()``.
-``dense_weights`` is the matrix local search built from a graph's weights
-dict before the float graph of a system held W itself; it is the check of
-``WeightedGraph.matrix`` on a graph built from a dict.
 """
 
 import itertools
@@ -494,13 +491,3 @@ def format_instance(s):
     for row in s.gamma:
         out.append("gamma " + " ".join(fmt(g) for g in row))
     return "\n".join(out) + "\n"
-
-
-def dense_weights(g):
-    """The n x n float matrix of a graph's weights, 0 off its edges."""
-    w = np.zeros((g.n_vertices, g.n_vertices))
-    if g.weights:
-        ends = np.fromiter(itertools.chain.from_iterable(g.weights), dtype=int)
-        ii, jj = ends[0::2], ends[1::2]
-        w[ii, jj] = w[jj, ii] = np.fromiter(g.weights.values(), dtype=float)
-    return w

@@ -250,6 +250,8 @@ class TestPaToMkp:
         weights = g.weights
         assert g.weights is weights and list(weights) == list(itertools.combinations(range(5), 2))
         assert weights == {(i, j): interference_matrix(s)[i, j] for i, j in weights}
+        with pytest.raises(AttributeError, match="no attribute '_matrix'"):
+            WeightedGraph(2, 1, {(0, 1): 1.0}).matrix()  # a dict-built graph holds none
 
     def test_float_graph_is_immutable_and_equal_only_to_itself(self):
         s = small_random_system(seed=52, k_users=4, tau=2)
