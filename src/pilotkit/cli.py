@@ -168,8 +168,9 @@ def cmd_solve(args) -> int:
     for name in args.solver:
         rep = SOLVERS[name](s, args.seed, args)
         rows.append(_report_row(args.instance, rep))
-        rates = uplink_rates(s, rep.assignment)
-        rate_rows += [[args.instance, name, str(k), repr(r)] for k, r in enumerate(rates)]
+        if args.rates_out:
+            rates = uplink_rates(s, rep.assignment)
+            rate_rows += [[args.instance, name, str(k), repr(r)] for k, r in enumerate(rates)]
         if args.assignment_out:
             fileio.write_assignment(args.assignment_out, rep.assignment)
         if args.pairs_out:

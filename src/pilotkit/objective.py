@@ -36,7 +36,7 @@ import numpy as np
 from .system_model import (
     CfMmimoSystem,
     PilotAssignment,
-    _integer_beta_squares,
+    _over_common_denominator,
     _require_valid,
     _user_terms,
     check_assignment,
@@ -76,11 +76,27 @@ def pairwise_interference(
 
 
 def _exact_rows(s: CfMmimoSystem) -> tuple[tuple, tuple[int, ...], tuple]:
-    # Rational mode on integers: with P the integer beta squares, L[k] =
-    # lcm(P[k, m] for m in A(k)) and scale[k] = L[k] // P[k, A(k)], user k's
-    # one-sided term to user j is N[k, j] / L[k], N[k, j] = P[j, A(k)] . scale[k].
-    # Returns (P's rows, L, scale); _exact_pairs builds N only pair by pair.
-    p = tuple(map(tuple, _integer_beta_squares(s).tolist()))
+    # Rational mode on integers: P[k, m] = beta[k, m]**2 * D_m, D_m the least
+    # common denominator of AP column m (it cancels from every ratio within the
+    # column), built row by row as Python ints from the payload, else from each
+    # float's odd part, squared and shifted. With L[k] = lcm(P[k, A(k)]) and
+    # scale[k] = L[k] // P[k, A(k)], user k's one-sided term to user j is
+    # N[k, j] / L[k], N[k, j] = P[j, A(k)] . scale[k]. Returns (P's rows, L,
+    # scale); _exact_pairs builds N only pair by pair.
+    if s.beta_sq_exact is not None:
+        cols = (_over_common_denominator(map(Fraction.as_integer_ratio, col))[0]
+                for col in s.beta_sq_exact.T)
+        p = tuple(zip(*cols))
+    else:
+        frac, exp = np.frexp(s.beta)
+        n = (frac * 2.0**53).astype(np.int64)  # beta = n * 2**(exp - 53), exactly
+        tz = np.frexp((n & -n).astype(float))[1] - 1  # n's trailing zero bits, -1 for 0
+        low = np.where(n == 0, 0, exp - 53 + tz)  # beta = (n >> tz) * 2**low, n >> tz odd
+        shift = 2 * (low - np.minimum(low.min(axis=0), 0))  # log2 of P / (n >> tz)**2
+        odd = n >> np.maximum(tz, 0)
+        del frac, exp, n, tz, low  # K x M arrays the rows do not need: a lower peak
+        p = tuple(tuple(x * x << t for x, t in zip(ok.tolist(), sk.tolist()))
+                  for ok, sk in zip(odd, shift))
     own = [[pk[m] for m in aps] for pk, aps in zip(p, s.serving_sets)]
     lcms = tuple(math.lcm(*row) for row in own)
     return p, lcms, tuple(tuple(lk // x for x in row) for lk, row in zip(lcms, own))

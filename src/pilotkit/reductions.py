@@ -167,7 +167,7 @@ class Partition:
 
 def _co_block_weights(g: WeightedGraph, p: Partition) -> list[Weight]:
     """Weights of the vertex pairs inside a block, 0 for an absent edge, in
-    lexicographic pair order."""
+    lexicographic pair order; read from W when the graph holds one."""
     if p.n_vertices != g.n_vertices:
         raise ValueError(f"partition covers {p.n_vertices} vertices, graph has {g.n_vertices}")
     if p.n_blocks != g.k_parts:
@@ -175,6 +175,8 @@ def _co_block_weights(g: WeightedGraph, p: Partition) -> list[Weight]:
             f"block count mismatch: partition has {p.n_blocks}, graph wants {g.k_parts}"
         )
     ii, jj = _co_pilot_pairs(np.asarray(p.block_of))
+    if "_matrix" in g.__dict__:
+        return g._matrix[ii, jj].tolist()
     return [g.weights.get(e, 0) for e in zip(ii.tolist(), jj.tolist())]
 
 

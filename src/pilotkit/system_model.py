@@ -122,7 +122,7 @@ class CfMmimoSystem:
     certificates avoid square-root rounding; it is filled in by the
     graph-to-system construction in rational mode, stored as a read-only
     K x M object array of Fractions, ignored by the floating-point paths
-    and read by rational mode as ints (``_integer_beta_squares``). beta,
+    and read by rational mode as ints (``objective._exact_rows``). beta,
     gamma and eta are kept as read-only float arrays: an input array the
     caller can still write is copied, a read-only one is kept as is.
     """
@@ -309,28 +309,6 @@ def _over_common_denominator(ratios) -> tuple[list[int], int]:
     ratios = list(ratios)
     denom = math.lcm(*(d for _, d in ratios))
     return [n * (denom // d) for n, d in ratios], denom
-
-
-def _integer_beta_squares(s: CfMmimoSystem) -> np.ndarray:
-    """The exact values of beta**2 as Python ints, one scale per AP column.
-
-    Returns a K x M object array P with P[k, m] = beta[k, m]**2 * D_m,
-    where D_m is the least common denominator of column m. D_m cancels
-    from every ratio of two entries of one column, which is all rational
-    mode needs, so no Fraction is built. The values are the payload's
-    numerators and denominators when present, otherwise each float's
-    ``as_integer_ratio``, squared; a float column's D_m, a power of two, by shifts.
-    """
-    if s.beta_sq_exact is not None:
-        ratios = [[(x.numerator, x.denominator) for x in col] for col in s.beta_sq_exact.T]
-        return np.array([_over_common_denominator(col)[0] for col in ratios], dtype=object).T
-    frac, exp = np.frexp(s.beta)
-    n = (frac * 2.0**53).astype(np.int64)  # beta = n * 2**(exp - 53), exactly
-    tz = np.frexp((n & -n).astype(float))[1] - 1  # n's trailing zero bits, -1 for 0
-    low = np.where(n == 0, 0, exp - 53 + tz)  # beta = (n >> tz) * 2**low, n >> tz odd
-    shift = 2 * (low - np.minimum(low.min(axis=0), 0))  # log2 of beta**2 * D_m / (n >> tz)**2
-    rows = zip((n >> np.maximum(tz, 0)).tolist(), shift.tolist())
-    return np.array([[x * x << t for x, t in zip(*row)] for row in rows], dtype=object)
 
 
 @dataclass(frozen=True)

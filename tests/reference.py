@@ -322,9 +322,9 @@ def co_pilot_sum_exact(w, labels):
 
 
 def integer_beta_squares(s):
-    """``system_model._integer_beta_squares`` as it was before float columns
-    were scaled by shifts: every column's squared ratios, float or payload,
-    over the lcm of their denominators."""
+    """Rational mode's integer squares P as a K x M object array, as built
+    before float columns were scaled by shifts and P by rows: every column's
+    squared ratios, float or payload, over the lcm of their denominators."""
     if s.beta_sq_exact is not None:
         ratios = [[(x.numerator, x.denominator) for x in col] for col in s.beta_sq_exact.T]
     else:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pilotkit
-from pilotkit import contamination_objective, graphs_equal
+from pilotkit import cli, contamination_objective, graphs_equal, uplink_rates
 from pilotkit.cli import SOLVER_NAMES, _generation_config, build_parser, main
 from pilotkit.fileio import (
     format_assignment,
@@ -292,6 +292,17 @@ class TestSolve:
         ) == 0
         assert len(read_csv(report)) == 4  # header + 3 solvers
         assert len(read_csv(rates)) == 1 + 3 * 5
+
+    def test_rates_only_with_rates_out(self, tmp_path, monkeypatch):
+        inst = gen_instance(tmp_path)
+        calls = []
+        monkeypatch.setattr(cli, "uplink_rates", lambda *a: calls.append(a) or uplink_rates(*a))
+        solve = ("solve", "--instance", inst, "--solver", "greedy,local-search",
+                 "--out", tmp_path / "r.csv")
+        assert run(*solve) == 0
+        assert calls == []
+        assert run(*solve, "--rates-out", tmp_path / "rates.csv") == 0
+        assert len(calls) == 2 and len(read_csv(tmp_path / "rates.csv")) == 1 + 2 * 5
 
     def test_pairs_out_matches_objective(self, tmp_path):
         inst = gen_instance(tmp_path)

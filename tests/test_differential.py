@@ -28,6 +28,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -55,6 +56,7 @@ from pilotkit import (
     local_search_move,
     mkp_objective,
     mkp_to_pa,
+    pa_solution_to_mkp,
     pa_to_mkp,
     pairwise_interference,
     random_feasible,
@@ -677,6 +679,39 @@ def test_derived_exact_verify_builds_only_co_block_weights(monkeypatch):
     assert rep == verify_measure_equality(s, a, exact=True, graph=pa_to_mkp(s, exact=True))
 
 
+def test_exact_rows_peak_near_what_they_keep():
+    # P is built one user's row at a time: the call's peak stays near the rows
+    # it keeps, with no K x M object array or whole-matrix lists besides them
+    s = generate_system(GenerationConfig(seed=1), 400, 200, 10)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = objective._exact_rows(s)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows[0]) == 200 and peak - before < 1.6 * (after - before)
+
+
+def test_float_verify_reads_co_block_weights_from_w(monkeypatch):
+    # without a graph, float verify reads the co-block pairs from the W that
+    # pa_to_mkp's graph holds: no dict of all K(K-1)/2 weights is built
+    s = _system((20, 64, 4), 7)
+    a = local_search_move(s, random_feasible(s, 7)).assignment
+
+    def refuse(*args):
+        raise AssertionError("verify built every pair weight")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reductions, "_upper_weights", refuse)
+        rep = verify_measure_equality(s, a)
+    assert rep.passed and rep.mode == "float"
+    # a graph of the same weights, built from a dict, sums the same floats
+    g = WeightedGraph(s.k_users, s.tau_pilots, {(i, j): w for i, j, w in interference_pairs(s)})
+    assert rep == verify_measure_equality(s, a, graph=g)
+    assert rep.m_mkp == mkp_objective(g, pa_solution_to_mkp(a))
+
+
 @st.composite
 def payload_systems(draw):
     """(mkp_to_pa(g, exact=True), g) for a graph g of int, Fraction and
@@ -712,6 +747,11 @@ def test_exact_verify_matches_reference(case, seed):
 @given(case=wide_systems(WIDE | SUBNORMAL).map(lambda s: (s, None)) | payload_systems())
 def test_exact_pairs_match_reference_on_wide_and_payload_systems(case):
     s, _ = case
+    # P's rows, ints built user by user: zero entries, subnormals and
+    # payload columns too
+    rows = objective._exact_rows(s)[0]
+    assert all(type(x) is int for row in rows for x in row)
+    assert rows == tuple(map(tuple, reference.integer_beta_squares(s).tolist()))
     _assert_exact_pairs_match_reference(s, reference.interference_exact(s))
 
 

@@ -31,13 +31,10 @@ from pilotkit import (
     uplink_rates,
     validate_system,
 )
+from pilotkit import objective
 from pilotkit.fileio import format_instance
 from pilotkit.solvers import random_feasible
-from pilotkit.system_model import (
-    _gamma_from_beta,
-    _integer_beta_squares,
-    _over_common_denominator,
-)
+from pilotkit.system_model import _gamma_from_beta, _over_common_denominator
 
 import reference
 from conftest import count_validations, make_system, small_random_system
@@ -449,17 +446,19 @@ class TestThroughput:
 
 class TestExactBetaSquares:
     def test_matches_float_bits(self):
-        # Each AP column of the integer squares is the exact squares (each
-        # float's, or the payload's) times the column's least denominator.
+        # Rational mode's P, built row by row: each row a tuple of ints, and
+        # each AP column the exact squares (each float's, or the payload's)
+        # times the column's least denominator.
         g = WeightedGraph(3, 2, {(0, 1): Fraction(1, 3), (1, 2): 2, (0, 2): 0.1})
         for s in (small_random_system(seed=31), mkp_to_pa(g, n_dummy_aps=1, exact=True)):
-            exact = reference.exact_beta_squares(s)
-            ints = _integer_beta_squares(s)
-            assert ints.shape == exact.shape == (s.k_users, s.m_aps)
-            for col, want in zip(ints.T, exact.T):
+            rows = objective._exact_rows(s)[0]
+            assert type(rows) is tuple and len(rows) == s.k_users
+            for row, want in zip(rows, reference.integer_beta_squares(s).tolist()):
+                assert type(row) is tuple and [type(x) for x in row] == [int] * s.m_aps
+                assert list(row) == want
+            for col, want in zip(zip(*rows), reference.exact_beta_squares(s).T):
                 denom = math.lcm(*(x.denominator for x in want))
-                assert [type(x) for x in col] == [int] * s.k_users
-                assert col.tolist() == [x * denom for x in want]
+                assert list(col) == [x * denom for x in want]
 
     def test_over_common_denominator(self):
         ints, denom = _over_common_denominator([(1, 6), (3, 4), (5, 1), (0, 9)])
