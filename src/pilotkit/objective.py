@@ -176,7 +176,7 @@ def co_pilot_sum(w: np.ndarray, labels: np.ndarray) -> float:
     same float a plain loop over the pairs produces. A sum beyond float
     range is inf, without a warning: callers refuse an infinite value.
     """
-    values = w[_co_pilot_pairs(labels)]
+    values = w[np.triu(labels[:, None] == labels, 1)]  # row-major: lexicographic
     with np.errstate(over="ignore"):
         return float(np.cumsum(values)[-1]) if values.size else 0.0
 

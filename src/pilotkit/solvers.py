@@ -30,6 +30,7 @@ from .system_model import (
     PilotAssignment,
     _index,
     _over_common_denominator,
+    _rates,
     _require_valid,
     check_assignment,
     system_throughput,
@@ -350,6 +351,8 @@ def greedy_worst_user(
     the move only if the system-wide worst rate strictly improves; stops
     at the first rejected move or after max_rounds accepted ones. The
     worst-user rate is therefore non-decreasing from init to output.
+    A move changes only the rates of the users on the two pilots it
+    touches, so only theirs are rescored.
     """
     check_assignment(s, init)
     t0 = time.perf_counter()
@@ -359,12 +362,13 @@ def greedy_worst_user(
     accepted = 0
     while accepted < max_rounds:
         worst = min(range(k_users), key=rates.__getitem__)  # the first minimum
-        if current.pilot_of.count(current.pilot_of[worst]) < 2:
+        own = current.pilot_of[worst]
+        if current.pilot_of.count(own) < 2:
             break  # moving the worst user would empty its pilot
         best_rate = rates[worst]
         best = None
         for p in range(tau):
-            if p == current.pilot_of[worst]:
+            if p == own:
                 continue
             cand = list(current.pilot_of)
             cand[worst] = p
@@ -374,7 +378,11 @@ def greedy_worst_user(
                 best_rate, best = r, cand_a
         if best is None:
             break
-        cand_rates = uplink_rates(s, best)
+        moved = np.array(best.pilot_of)
+        touched = np.flatnonzero((moved == own) | (moved == moved[worst]))
+        cand_rates = rates.copy()
+        for k, r in zip(touched.tolist(), _rates(s, moved, touched)):
+            cand_rates[k] = r
         if min(cand_rates) > min(rates):
             current, rates = best, cand_rates
             accepted += 1
@@ -409,6 +417,14 @@ def local_search_move(
     optimum or after max_iters moves. The objective never increases. The
     search is deterministic.
 
+    The changes come from a gain table, each user's weight to each pilot,
+    built as ``w @ on_pilot`` and then kept: a move updates the two columns
+    it changes (Kernighan-Lin; Fiduccia-Mattheyses). A running bound covers
+    the kept entries' rounding drift. The table is rebuilt every K moves,
+    and whenever the best change is not below zero and below every other
+    change by more than the bound, so each move and stop is the one a
+    table rebuilt before every move gives.
+
     A move is applied only if the objective, re-summed in pair order, is
     lower after it (a float guard: the move's change comes from sums in
     another order). That guard is evaluated only when the change is
@@ -425,7 +441,8 @@ def local_search_move(
     labels = np.array(init.pilot_of)
     on_pilot = np.zeros((k_users, tau))
     on_pilot[users, labels] = 1.0
-    group = np.bincount(labels, minlength=tau)
+    own = users * tau + labels  # each user's own pilot, as a flat index of a (K, tau) table
+    group = np.bincount(labels, minlength=tau).tolist()
     # Rounding bounds, each rounded up: g_sum for an objective sum, g_move
     # for a move's change (two row sums and their difference), and hi an
     # upper bound on the exact objective of labels.
@@ -433,41 +450,91 @@ def local_search_move(
     above = _up(1.0 + 2.0 * g_sum)  # exact <= computed * above
     cur = co_pilot_sum(w, labels)  # None once stale: labels moved unguarded
     hi = _up(cur * above)
-    moves = 0
-    while moves < max_iters:
-        # gain[k, p]: total weight between k and the users on pilot p, so
-        # moving k to p changes the objective by gain[k, p] - gain[k, own].
-        # An overflowed gain gives an inf or nan change, which ends the search.
-        with np.errstate(over="ignore", invalid="ignore"):
-            gain = w @ on_pilot
-            delta = gain - gain[users, labels][:, None]
-        delta[users, labels] = np.inf
-        delta[group[labels] < 2] = np.inf  # moving k would empty its pilot
-        k, p = divmod(int(np.argmin(delta)), tau)  # first minimum in (k, p) order
+    # A kept gain is within drift * S of its exact value, S above every
+    # exact value the entry has held since the build: a built entry is
+    # within g_row relatively, and each update adds a rounding of at most
+    # u * (1 + drift) * S. drift is the bound after one more update. Two S
+    # serve: top_row, above every row sum of w (at least 2**-960, so that
+    # products with it are normal), and per entry reach, the built entry
+    # plus every weight added since, times per_entry's 1 + 2 * gamma_2K.
+    g_row = _gamma(k_users)
+    with np.errstate(over="ignore"):
+        top_row = max(_up(float(w.sum(axis=1).max()) * _up(1.0 + 4.0 * g_row)), 2.0**-960)
+    per_entry = _up(_up(1.0 + 2.0 * _gamma(2 * k_users)) * (4.0 + 2.0**-48))
+    fresh = _grown(g_row)
+
+    def pick(kept):
+        # The best move (k, p), its change d and a bound e_d on d's distance
+        # to the exact change; e_d is None when the kept table cannot tell.
+        delta = gain - gain.take(own)[:, None]
+        delta.ravel()[own] = np.inf
+        if min(group) < 2:
+            delta[np.array(group)[labels] < 2] = np.inf  # moving k would empty its pilot
+        k, p = divmod(int(delta.argmin()), tau)  # first minimum in (k, p) order
         d = float(delta[k, p])
-        if not d < 0.0:
-            break
-        # The exact change is within e_d of d, and each objective sum within
-        # g_sum of its exact value; below -band the re-summed objective drops.
-        e_d = _up(g_move * _up(float(gain[k, p]) + float(gain[k, labels[k]])))
-        band = _up(e_d + _up(g_sum * _up(2.0 * hi + e_d)))
-        trial = labels.copy()
-        trial[k] = p
-        if d < -band:
-            cur, hi = None, _up(hi + _up(d + e_d))
-        else:
-            if cur is None:
-                cur = co_pilot_sum(w, labels)
-            new = co_pilot_sum(w, trial)
-            if new >= cur:  # float re-association guard; keeps descent strict
+        if not kept:  # d is within g_move of the two exact row sums
+            return k, p, d, _up(g_move * _up(float(gain[k, p]) + float(gain[k, labels[k]])))
+        # A kept change is within 4 * drift * (S of its two entries) of the
+        # fresh and of the exact change; f * top_row and f_entry * (their
+        # reach), rounded, stay above that, but for an underflow _up(top)
+        # covers. The kept choice is the fresh one if d plus its bound is
+        # below zero and below every other change less its bound (rounding
+        # is monotone, so a rounded difference above top is one exactly).
+        f, f_entry = drift * (4.0 + 2.0**-48), drift * per_entry
+        e_d = _up(float(f_entry * (reach[k, p] + reach[k, labels[k]])))
+        top = _up(d + e_d)
+        delta[k, p] = np.inf
+        clear = top < 0.0 and (
+            float(delta.min()) > _up(top + f * top_row)
+            or float((delta - f_entry * (reach + reach.take(own)[:, None])).min()) > _up(top)
+        )
+        return k, p, d, e_d if clear else None
+
+    gain, reach, drift, built = None, None, fresh, -k_users
+    moves = 0
+    # An overflowed gain gives an inf or nan change, which ends the search.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while moves < max_iters:
+            kept = moves - built < k_users  # rebuilt at least every K moves
+            if kept:
+                k, p, d, e_d = pick(True)
+            if not kept or e_d is None:
+                gain, drift, built = w @ on_pilot, fresh, moves
+                reach = gain.copy()
+                k, p, d, e_d = pick(False)
+            if not d < 0.0:
                 break
-            cur, hi = new, _up(new * above)
-        on_pilot[k, labels[k]] = 0.0
-        on_pilot[k, p] = 1.0
-        group[labels[k]] -= 1
-        group[p] += 1
-        labels = trial
-        moves += 1
+            # The exact change is within e_d of d, and each objective sum within
+            # g_sum of its exact value; below -band the re-summed objective drops.
+            band = _up(e_d + _up(g_sum * _up(2.0 * hi + e_d)))
+            trial = labels.copy()
+            trial[k] = p
+            if d < -band:
+                cur, hi = None, _up(hi + _up(d + e_d))
+            else:
+                if cur is None:
+                    cur = co_pilot_sum(w, labels)
+                new = co_pilot_sum(w, trial)
+                if new >= cur:  # float re-association guard; keeps descent strict
+                    break
+                cur, hi = new, _up(new * above)
+            old = int(labels[k])
+            own[k] += p - old
+            on_pilot[k, old] = 0.0
+            on_pilot[k, p] = 1.0
+            gain[:, old] -= w[k]
+            gain[:, p] += w[k]
+            reach[:, p] += w[k]
+            drift = _grown(drift)
+            group[old] -= 1
+            group[p] += 1
+            labels = trial
+            moves += 1
 
     final = PilotAssignment(tuple(labels.tolist()), tau)
     return SolveReport.of(s, final, "local-search", t0, moves)
+
+
+def _grown(drift: float) -> float:
+    """The drift bound after one more update: drift + u * (1 + drift), rounded up."""
+    return _up(drift + _up(1.0 + drift) * 2.0**-53)

@@ -40,6 +40,9 @@ __all__ = [
 # Reference path loss at d0 = 1 m for the synthetic channel model, in dB.
 PATHLOSS_REF_DB = 30.0
 
+# Ratios _user_terms builds at once: batches of about 2 MB.
+_TERMS_BATCH = 1 << 18
+
 
 class InfeasibleAssignmentError(ValueError):
     """A pilot assignment that is not a surjective map onto the pilot set."""
@@ -73,6 +76,9 @@ def _surjective(labels, n, error: type, label: str, items: str) -> tuple[tuple[i
         if bad:
             raise error(f"{label} index {bad[0]!r} is not an integer") from None
         out = tuple(map(int, labels))  # numpy bools
+    used = set(out)
+    if 1 <= n == len(used) and min(used) == 0 and max(used) == n - 1:
+        return out, n  # the labels are 0..n-1, each used
     if n < 1:
         raise error(f"need at least one {label}")
     if n > len(out):
@@ -80,7 +86,6 @@ def _surjective(labels, n, error: type, label: str, items: str) -> tuple[tuple[i
     if not 0 <= min(out) <= max(out) < n:
         bad = next(x for x in out if not 0 <= x < n)
         raise error(f"{label} index {bad} out of range [0, {n})")
-    used = set(out)
     if len(used) != n:
         raise error(f"not surjective: {label}s {_listed(sorted(set(range(n)) - used))} are empty")
     return out, n
@@ -240,8 +245,15 @@ def validate_system(s: CfMmimoSystem) -> ValidationResult:
         if wrong:
             v.append(f"exact beta-square payload is not beta**2 at {_listed(wrong)}")
 
+    # Every serving link in one gather; only a system that fails it is
+    # walked link by link, for the messages in order.
+    flat = [m for aps in s.serving_sets for m in aps]
+    sound = all(s.serving_sets) and 0 <= min(flat) and max(flat) < s.m_aps
+    if sound:
+        users = np.repeat(np.arange(s.k_users), [len(aps) for aps in s.serving_sets])
+        sound = (s.beta[users, flat] > 0).all() and (exact is None or all(exact[users, flat] != 0))
     links: list[str] = []  # cut after ten, as _listed cuts labels
-    for k, aps in enumerate(s.serving_sets):
+    for k, aps in enumerate(() if sound else s.serving_sets):
         if not aps:
             links.append(f"serving set of user {k} is empty")
             continue
@@ -469,26 +481,41 @@ def _user_terms(s: CfMmimoSystem) -> tuple[np.ndarray, ...]:
     coherent[k, j] = eta[j] * (sum_{m in A(k)} gamma[k, m] beta[j, m] / beta[k, m])**2,
     what user j adds, before the factor rho_u, to k's coherent
     interference when the two share a pilot. Both matrices have a zero
-    diagonal. Each user's columns beta[:, A(k)] are gathered once and
-    their ratios laid out in C order, so each row is reduced like a 1-D
-    sum over A(k): every entry is the float a per-user loop gives, and W
-    equals the scalar ``pair_weight`` of ``tests/reference.py`` bit for bit.
+    diagonal.
+
+    Users whose serving sets have the same size a are built together,
+    about _TERMS_BATCH ratios at a time, from one gather of their columns
+    of beta. Their ratios beta[j, m] / beta[k, m] are laid out as one
+    C-ordered (K, users, a) array, so each row is reduced like a 1-D sum
+    over A(k): every entry is the float a per-user loop gives, and W
+    equals the scalar ``pair_weight`` of ``tests/reference.py`` bit for
+    bit. The non-coherent term keeps one BLAS product per user, on a copy
+    of the user's columns in the F order a per-user gather gives, so its
+    bits do not depend on the batches either.
     """
-    k_users, beta, eta = s.k_users, s.beta, s.eta
+    k_users, beta, gamma, eta = s.k_users, s.beta, s.gamma, s.eta
     one_sided, coherent = np.empty((k_users, k_users)), np.empty((k_users, k_users))
     noise, noncoherent = np.empty(k_users), np.empty(k_users)
+    by_size: dict[int, list[int]] = {}
+    for k, aps in enumerate(s.serving_sets):
+        by_size.setdefault(len(aps), []).append(k)
     # An overflowed term is inf without a warning (certifying callers refuse it); nan warns.
     with np.errstate(over="ignore"):
-        for k, aps in enumerate(s.serving_sets):
-            idx = list(aps)
-            b = beta[:, idx]
-            g = s.gamma[k, idx]
-            noise[k] = g.sum()
-            noncoherent[k] = s.rho_u * (eta @ (b @ g))
-            ratios = np.ascontiguousarray(b) / b[k]
-            one_sided[k] = (ratios * ratios).sum(axis=1)
-            ratio = (g * ratios).sum(axis=1)
-            coherent[k] = eta * ratio * ratio
+        for a, same in by_size.items():
+            step = max(1, _TERMS_BATCH // (k_users * a))
+            for lo in range(0, len(same), step):
+                chunk = same[lo:lo + step]
+                users, idx = np.array(chunk), np.array([s.serving_sets[k] for k in chunk])
+                g = gamma[users[:, None], idx]
+                noise[users] = np.add.reduce(g, axis=1)
+                b = beta.take(idx, axis=1)  # C-ordered; [:, i] is users[i]'s columns
+                for i, k in enumerate(chunk):
+                    noncoherent[k] = s.rho_u * (eta @ (np.asfortranarray(b[:, i]) @ gamma[k, idx[i]]))
+                # [j, i, :] holds the ratios of user j to users[i]
+                ratios = np.divide(b, beta[users[:, None], idx], order="C")
+                one_sided[users] = np.add.reduce(ratios * ratios, axis=2).T
+                ratio = np.add.reduce(g * ratios, axis=2)
+                coherent[users] = (eta[:, None] * ratio * ratio).T
         w = one_sided + one_sided.T
         numerator = s.rho_u * eta * noise * noise
     np.fill_diagonal(w, 0.0)
@@ -499,13 +526,24 @@ def _user_terms(s: CfMmimoSystem) -> tuple[np.ndarray, ...]:
     return terms
 
 
+def _in_order(values) -> float:
+    """values added left to right, on every Python (3.12's sum() compensates)."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def _rates(s: CfMmimoSystem, labels: np.ndarray, users) -> list[float]:
-    """Rates of users (a slice), in one masked pass."""
+    """Rates of users (an index array in increasing order, or a slice) that
+    hold whole pilots, in one masked pass over their rows and columns of
+    the coherent matrix: every co-pilot of each of them is among them."""
     _, numerator, noncoherent, noise, coherent = derived(s, _user_terms)
     # Each row adds its co-pilot terms one at a time in user order, as a
     # loop does; the others add +0.0, which changes no nonnegative sum.
-    same = labels[users, None] == labels
-    interference = np.cumsum(np.where(same, coherent[users], 0.0), axis=1)[:, -1] * s.rho_u
+    mine = labels[users]
+    same = mine[:, None] == mine
+    interference = np.cumsum(np.where(same, coherent[users][:, users], 0.0), axis=1)[:, -1] * s.rho_u
     num, denom = numerator[users], interference + noncoherent[users] + noise[users]
     sinr = np.divide(num, denom, out=np.zeros_like(num), where=num != 0.0)
     prelog = (1.0 - s.tau_pilots / s.tau_c) / 2.0
@@ -520,12 +558,19 @@ def uplink_rate(s: CfMmimoSystem, a: PilotAssignment, k: int) -> float:
     denominator adds coherent interference from users sharing k's pilot,
     non-coherent interference from every user (including k itself), and
     the noise term sum(gamma). Only the coherent term depends on the
-    assignment: it is a masked row sum of per-system coefficients.
+    assignment: row k of the per-system coefficients, summed over k's
+    co-pilots in user order. The arithmetic is ``uplink_rates``' in Python
+    floats, the same IEEE operations, so the two agree bit for bit.
     """
     check_assignment(s, a)
     if not 0 <= k < s.k_users:
         raise IndexError(f"user index {k} out of range [0, {s.k_users})")
-    return _rates(s, np.asarray(a.pilot_of), slice(k, k + 1))[0]
+    _, numerator, noncoherent, noise, coherent = derived(s, _user_terms)
+    labels = np.asarray(a.pilot_of)
+    interference = _in_order(coherent[k, labels == labels[k]].tolist()) * s.rho_u
+    num = float(numerator[k])
+    sinr = num / (interference + float(noncoherent[k]) + float(noise[k])) if num != 0.0 else 0.0
+    return (1.0 - s.tau_pilots / s.tau_c) / 2.0 * math.log2(1.0 + sinr)
 
 
 def uplink_rates(s: CfMmimoSystem, a: PilotAssignment) -> list[float]:
@@ -535,5 +580,5 @@ def uplink_rates(s: CfMmimoSystem, a: PilotAssignment) -> list[float]:
 
 
 def system_throughput(s: CfMmimoSystem, a: PilotAssignment) -> float:
-    """Sum of the uplink rates of all users."""
-    return sum(uplink_rates(s, a))
+    """Sum of the uplink rates of all users, added in user order."""
+    return _in_order(uplink_rates(s, a))

@@ -11,7 +11,9 @@ replaced, joined and bit for bit; ``contamination_report`` against the
 pair loop it replaced, bit for bit; the one-pass builder of W and
 the rate terms against the two separate builders it replaced, bit for
 bit; the one-pass ``uplink_rates`` against ``uplink_rate`` user by
-user, bit for bit; the graph side of exact ``verify_measure_equality``
+user, bit for bit, and the masked pass on any union of whole pilots
+against both; local search on a kept gain table against the reference
+where only a rebuilt table ties; the graph side of exact ``verify_measure_equality``
 against ``mkp_objective`` on Fraction weights, its report without a graph
 against the report on the full exact graph, and the exact objective and
 every report field against the two-totals ``reference.verify_exact``
@@ -25,8 +27,10 @@ holds W, against the graph of the ``interference_pairs`` dict.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 import warnings
@@ -253,6 +257,39 @@ def test_user_terms_match_reference_builders_on_wide_systems(s):
     _assert_terms_match_reference(s)
 
 
+@pytest.mark.parametrize("batch", [1, 3 * 40 * 8, system_model._TERMS_BATCH])
+def test_user_terms_match_reference_builders_batch_by_batch(monkeypatch, batch):
+    # top:8 gives every user the same serving-set size: one batch of all 40
+    # users, or chunks of three and of one; with every size distinct, each
+    # user is a batch of its own.
+    monkeypatch.setattr(system_model, "_TERMS_BATCH", batch)
+    s = _system((40, 64, 4), 1, "top:8")
+    assert {len(a) for a in s.serving_sets} == {8}
+    _assert_terms_match_reference(s)
+    s = _system((12, 64, 3), 2)
+    s = dataclasses.replace(s, serving_sets=tuple(tuple(range(3 * k, 4 * k + 1)) for k in range(12)))
+    assert len({len(a) for a in s.serving_sets}) == 12
+    _assert_terms_match_reference(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=wide_systems(), data=st.data())
+def test_rates_of_whole_pilots_are_uplink_rates_on_wide_systems(s, data):
+    # _rates reads only the rows and columns of the users it is given, so
+    # those must hold whole pilots; then each rate is uplink_rates' and
+    # uplink_rate's, bit for bit (nan where they overflow).
+    order = data.draw(st.permutations(range(s.k_users)), label="order")
+    a = PilotAssignment(tuple(x % s.tau_pilots for x in order), s.tau_pilots)
+    labels = np.array(a.pilot_of)
+    pilots = data.draw(st.sets(st.integers(0, s.tau_pilots - 1), min_size=1), label="pilots")
+    users = np.flatnonzero(np.isin(labels, sorted(pilots)))
+    with np.errstate(all="ignore"):
+        part = system_model._rates(s, labels, users)
+        full = uplink_rates(s, a)
+    assert [r.hex() for r in part] == [full[k].hex() for k in users.tolist()]
+    assert [uplink_rate(s, a, k).hex() for k in range(s.k_users)] == [r.hex() for r in full]
+
+
 def test_one_float_memo_entry_per_system():
     s = _system((20, 64, 4), 3)
     init = random_feasible(s, 3)
@@ -293,6 +330,26 @@ def test_local_search_matches_reference_on_wide_weights(n, tau, seed):
     assert (report.assignment, report.iterations, report.objective) == (labels, moves, objective)
 
 
+def test_local_search_decides_ties_on_a_rebuilt_gain_table():
+    # Users 0..5 start on pilots 3, 3, 0, 1, 2, 0. User 5 leaves pilot 0
+    # first, so user 0's kept gain to pilot 0 becomes (0.7 + 1e8) - 1e8 in
+    # floats, a little above 0.7. Summed afresh, user 0's move to pilot 0
+    # and user 1's to pilot 1 then tie, and user 0, the lower, moves. A
+    # kernel that trusted its kept table, with no drift bound or without
+    # the bound of either check, would move user 1 instead.
+    edges = {(0, 1): 1e3, (0, 2): 0.7, (0, 3): 1e7, (0, 4): 1e7, (0, 5): 1e8,
+             (1, 2): 1e7, (1, 3): 0.7, (1, 4): 1e7, (1, 5): 1e7, (2, 3): 1e3,
+             (2, 4): 1e3, (2, 5): 1e9, (3, 4): 1e3, (3, 5): 100.0, (4, 5): 1.0}
+    s = mkp_to_pa(WeightedGraph(6, 4, edges))
+    w = interference_matrix(s)
+    assert w[0, 2] == w[1, 3] < (w[0, 2] + w[0, 5]) - w[0, 5]
+    init = PilotAssignment((3, 3, 0, 1, 2, 0), 4)
+    report = local_search_move(s, init)
+    labels, moves, objective = reference.local_search_move(s, init)
+    assert (report.assignment, report.iterations, report.objective) == (labels, moves, objective)
+    assert labels.pilot_of == (0, 3, 0, 1, 2, 2)
+
+
 # (shape, seed) whose last worst-user candidate raises the worst user's rate
 # but not the minimum rate, so it is rejected: after 2 and after 0 accepted moves
 REJECTING = [((10, 32, 3), 4), ((10, 32, 3), 18)]
@@ -302,15 +359,19 @@ REJECTING = [((10, 32, 3), 4), ((10, 32, 3), 18)]
 def test_worst_user_matches_reference(shape, seed):
     s = _system(shape, seed)
     init = random_feasible(s, seed)
-    with mock.patch.object(solvers, "uplink_rates", wraps=uplink_rates) as scored:
+    with mock.patch.object(solvers, "_rates", wraps=system_model._rates) as rescored:
         report = greedy_worst_user(s, init)
     labels, rounds, rates = reference.greedy_worst_user(s, init)
     assert report.assignment == labels
     assert report.iterations == rounds
     assert math.isclose(report.throughput, sum(rates), rel_tol=REL)
     assert report.objective == contamination_objective(s, labels)
-    # the start, each accepted candidate, and a rejected last one
-    assert scored.call_count - 1 - rounds == ((shape, seed) in REJECTING)
+    # each accepted candidate, and a rejected last one, rescores the users
+    # of the two pilots its move touches, and no one else
+    assert rescored.call_count - rounds == ((shape, seed) in REJECTING)
+    for (_, moved, users), _ in rescored.call_args_list:
+        touched = np.unique(moved[users])
+        assert touched.size == 2 and users.tolist() == np.flatnonzero(np.isin(moved, touched)).tolist()
 
 
 @pytest.mark.parametrize("shape, seed", CASES)
@@ -351,7 +412,8 @@ def test_uplink_rates_are_the_per_user_rates(case):
         assert [r.hex() for r in rates] == [r.hex() for r in one_by_one]
         for k, r in enumerate(rates):
             assert math.isclose(r, reference.uplink_rate(s, a, k), rel_tol=REL)
-        assert system_throughput(s, a) == sum(rates)
+        # added left to right, as on Python 3.10 and 3.11; 3.12's sum() compensates
+        assert system_throughput(s, a) == functools.reduce(operator.add, rates, 0.0)
 
 
 def test_uplink_rates_zero_for_silent_users():
