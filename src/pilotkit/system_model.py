@@ -76,14 +76,12 @@ def _surjective(labels, n, error: type, label: str, items: str) -> tuple[tuple[i
         if bad:
             raise error(f"{label} index {bad[0]!r} is not an integer") from None
         out = tuple(map(int, labels))  # numpy bools
-    used = set(out)
-    if 1 <= n == len(used) and min(used) == 0 and max(used) == n - 1:
-        return out, n  # the labels are 0..n-1, each used
     if n < 1:
         raise error(f"need at least one {label}")
     if n > len(out):
         raise error(f"not surjective: {n} {label}s for {len(out)} {items}, so some are empty")
-    if not 0 <= min(out) <= max(out) < n:
+    used = set(out)
+    if not 0 <= min(used) <= max(used) < n:
         bad = next(x for x in out if not 0 <= x < n)
         raise error(f"{label} index {bad} out of range [0, {n})")
     if len(used) != n:
@@ -534,6 +532,17 @@ def _in_order(values) -> float:
     return total
 
 
+def _from_terms(s: CfMmimoSystem, num, interference, noncoherent, noise) -> list[float]:
+    """Rates (1 - tau/tau_c)/2 * log2(1 + SINR) from lists of the SINR's
+    terms, in Python floats; interference is the co-pilot sum before the
+    factor rho_u."""
+    rho_u, prelog = s.rho_u, (1.0 - s.tau_pilots / s.tau_c) / 2.0
+    return [
+        prelog * math.log2(1.0 + (n / (i * rho_u + c + z) if n != 0.0 else 0.0))
+        for n, i, c, z in zip(num, interference, noncoherent, noise)
+    ]
+
+
 def _rates(s: CfMmimoSystem, labels: np.ndarray, users) -> list[float]:
     """Rates of users (an index array in increasing order, or a slice) that
     hold whole pilots, in one masked pass over their rows and columns of
@@ -543,11 +552,9 @@ def _rates(s: CfMmimoSystem, labels: np.ndarray, users) -> list[float]:
     # loop does; the others add +0.0, which changes no nonnegative sum.
     mine = labels[users]
     same = mine[:, None] == mine
-    interference = np.cumsum(np.where(same, coherent[users][:, users], 0.0), axis=1)[:, -1] * s.rho_u
-    num, denom = numerator[users], interference + noncoherent[users] + noise[users]
-    sinr = np.divide(num, denom, out=np.zeros_like(num), where=num != 0.0)
-    prelog = (1.0 - s.tau_pilots / s.tau_c) / 2.0
-    return [prelog * math.log2(1.0 + x) for x in sinr.tolist()]
+    interference = np.cumsum(np.where(same, coherent[users][:, users], 0.0), axis=1)[:, -1]
+    terms = (numerator[users], interference, noncoherent[users], noise[users])
+    return _from_terms(s, *(x.tolist() for x in terms))
 
 
 def uplink_rate(s: CfMmimoSystem, a: PilotAssignment, k: int) -> float:
@@ -559,18 +566,16 @@ def uplink_rate(s: CfMmimoSystem, a: PilotAssignment, k: int) -> float:
     non-coherent interference from every user (including k itself), and
     the noise term sum(gamma). Only the coherent term depends on the
     assignment: row k of the per-system coefficients, summed over k's
-    co-pilots in user order. The arithmetic is ``uplink_rates``' in Python
-    floats, the same IEEE operations, so the two agree bit for bit.
+    co-pilots in user order, as ``uplink_rates`` sums it.
     """
     check_assignment(s, a)
     if not 0 <= k < s.k_users:
         raise IndexError(f"user index {k} out of range [0, {s.k_users})")
     _, numerator, noncoherent, noise, coherent = derived(s, _user_terms)
     labels = np.asarray(a.pilot_of)
-    interference = _in_order(coherent[k, labels == labels[k]].tolist()) * s.rho_u
-    num = float(numerator[k])
-    sinr = num / (interference + float(noncoherent[k]) + float(noise[k])) if num != 0.0 else 0.0
-    return (1.0 - s.tau_pilots / s.tau_c) / 2.0 * math.log2(1.0 + sinr)
+    interference = _in_order(coherent[k, labels == labels[k]].tolist())
+    terms = ([float(numerator[k])], [interference], [float(noncoherent[k])], [float(noise[k])])
+    return _from_terms(s, *terms)[0]
 
 
 def uplink_rates(s: CfMmimoSystem, a: PilotAssignment) -> list[float]:
